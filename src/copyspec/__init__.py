@@ -38,7 +38,7 @@ from .engine import (
     generate,
     run_transcript,
 )
-from .lm import KgramLM, LangModel, TableLM, greedy_extend, peek_argmax, train_kgram
+from .lm import KgramLM, LangModel, TableLM, greedy_extend, train_kgram
 from .match_index import EmptyChunk, MatchIndex, MatchResult, extract_chunk
 from .metrics import CostModel, RunMetrics, aggregate, score_log, speedup
 from .synthetic import (
@@ -87,7 +87,6 @@ __all__ = [
     "make_novel_corpus",
     "make_redundant_corpus",
     "make_selfcorrect_corpus",
-    "peek_argmax",
     "permutation_baseline",
     "predict_distribution",
     "run_transcript",

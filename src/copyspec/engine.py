@@ -10,6 +10,12 @@ target, which diverges from the first rejected token and so prevents
 repeated failed attempts at the same spot. Rejected tokens are rolled
 back by truncating the model caches to the accepted prefix.
 
+Each model cache holds a prefix of the context. The newest committed
+token stays unseen (pending) until the next attempt scores it together
+with the proposal, so every attempt makes exactly one target pass, as
+the cost model charges. The draft catches up on the context it has not
+seen in the first call of its next proposal.
+
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
-from .lm import LangModel, greedy_extend, peek_argmax
+from .lm import LangModel, greedy_extend
 from .match_index import EmptyChunk, MatchIndex, extract_chunk
 from .metrics import CostModel, RunMetrics, score_log
 
@@ -99,42 +105,32 @@ class Session:
         self.log: list[AttemptOutcome] = []
 
     def extend_context(self, tokens: list[int]) -> None:
-        """Append prompt-side tokens: fed to the model caches and indexed.
+        """Append prompt-side tokens: indexed and fed to the model caches.
 
-        Prompt processing is not an attempt and carries no simulated cost.
+        Each model is fed the context it has not seen except the newest
+        token, which stays pending until the next attempt's pass. Prompt
+        processing is not an attempt and carries no simulated cost.
         """
         if not tokens:
             return
-        self.target.score_block(tokens)
-        if self.draft is not None:
-            self.draft.score_block(tokens)
         self.context.extend(tokens)
         self.index.extend(self.context, tokens)
-
-    def _commit(self, accepted: list[int], bonus: int) -> None:
-        """Roll caches back to the accepted prefix, then append the bonus."""
-        t = len(self.context)
-        self.target.truncate(t + len(accepted))
-        self.target.score_block([bonus])
-        if self.draft is not None:
-            if self.draft.state_len > t + len(accepted):
-                self.draft.truncate(t + len(accepted))
-            # feed whatever the draft has not seen yet (it saw its own
-            # proposals on draft attempts, nothing on copy/plain attempts)
-            self.draft.score_block(accepted[self.draft.state_len - t:] + [bonus])
-        self.context.extend(accepted)
-        self.context.append(bonus)
-        self.index.extend(self.context, accepted + [bonus])
+        for model in (self.target, self.draft):
+            if model is not None and model.state_len < len(self.context) - 1:
+                model.score_block(self.context[model.state_len:-1])
 
     def verify_block(self, proposal: list[int], source: str, index_ops: int = 0) -> AttemptOutcome:
-        """Score a proposal in one pass; accept its longest argmax prefix.
+        """Score the pending token plus a proposal in one target pass.
 
-        The bonus is read from the same block scores on a partial reject,
-        or from one extra single-token score on full acceptance (a real
-        verification pass yields proposed+1 distributions; the cost model
-        charges it that way).
+        Accepts the longest prefix of the proposal matching the target's
+        argmax. The pass yields proposed+1 predictions, so the bonus comes
+        from the same call whether the proposal is rejected or fully
+        accepted; an empty proposal is a plain step. The committed bonus
+        stays pending in both caches.
         """
-        scores = self.target.score_block(proposal)
+        t = len(self.context)
+        block = self.context[self.target.state_len:] + proposal
+        scores = self.target.score_block(block)[-(len(proposal) + 1):]
         k = 0
         eot_accepted = False
         for tok, argmax in zip(proposal, scores):
@@ -144,12 +140,7 @@ class Session:
                 eot_accepted = True  # accepted end-of-text becomes the bonus
                 break
             k += 1
-        if eot_accepted:
-            bonus = EOT_ID
-        elif k < len(proposal):
-            bonus = scores[k]
-        else:
-            bonus = peek_argmax(self.target)
+        bonus = EOT_ID if eot_accepted else scores[k]
         outcome = AttemptOutcome(
             source=source,
             proposed=len(proposal),
@@ -158,21 +149,12 @@ class Session:
             hit_eot=bonus == EOT_ID,
             index_ops=index_ops + k + 1,
         )
-        self._commit(proposal[:k], bonus)
-        self.log.append(outcome)
-        return outcome
-
-    def _plain_step(self, index_ops: int) -> AttemptOutcome:
-        bonus = peek_argmax(self.target)
-        outcome = AttemptOutcome(
-            source=SOURCE_PLAIN,
-            proposed=0,
-            accepted_k=0,
-            bonus=bonus,
-            hit_eot=bonus == EOT_ID,
-            index_ops=index_ops + 1,
-        )
-        self._commit([], bonus)
+        self.target.truncate(t + k)
+        if self.draft is not None and self.draft.state_len > t + k:
+            self.draft.truncate(t + k)
+        committed = proposal[:k] + [bonus]
+        self.context.extend(committed)
+        self.index.extend(self.context, committed)
         self.log.append(outcome)
         return outcome
 
@@ -186,6 +168,8 @@ class Session:
         """
         if remaining < 1:
             raise BudgetExhausted(f"no output budget left ({remaining})")
+        if not self.context:
+            raise ValueError("step needs a non-empty context to score after")
         cfg = self.config
         cap = remaining - 1  # room for proposed tokens; the bonus takes the last slot
         index_ops = 0
@@ -200,9 +184,10 @@ class Session:
                 if chunk:
                     return self.verify_block(chunk, SOURCE_COPY, index_ops)
         if cfg.allows_draft and self.draft is not None and cap >= 1:
-            proposal = greedy_extend(self.draft, min(cfg.draft_len, cap))
+            unseen = self.context[self.draft.state_len:]
+            proposal = greedy_extend(self.draft, unseen, min(cfg.draft_len, cap))
             return self.verify_block(proposal, SOURCE_DRAFT, index_ops)
-        return self._plain_step(index_ops)
+        return self.verify_block([], SOURCE_PLAIN, index_ops)
 
     def run(self, max_new_tokens: int | None = None) -> tuple[list[int], list[AttemptOutcome]]:
         """Generate until end-of-text or the token budget is exhausted.

@@ -1,12 +1,14 @@
 """Deterministic reference language models behind a cached-prefix contract.
 
 A model holds an opaque cached prefix (the stand-in for per-layer KV
-tensors). ``score_block`` returns, for each position i of the block, the
-argmax next token given the cached prefix plus the block tokens before i,
-then appends the block to the cache; ``truncate`` rolls the cache back to
-a shorter prefix. Scoring is a pure function of the prefix: any sequence
-of appends and truncations that leaves the same prefix scores identically
-to a fresh model fed that prefix.
+tensors). ``score_block`` appends a block to the cache and returns, for
+each position i of the block, the argmax next token *after* the cached
+prefix plus ``block[:i+1]``, as the logits of a real forward pass do; so
+the last entry predicts the token that follows the whole block.
+``truncate`` rolls the cache back to a shorter prefix. Scoring is a pure
+function of the prefix: any sequence of appends and truncations that
+leaves the same prefix scores identically to a fresh model fed that
+prefix.
 
 Two implementations are provided: :class:`TableLM`, a direct lookup table
 useful as a hand-constructible oracle, and :class:`KgramLM`, a counted
@@ -52,11 +54,11 @@ class LangModel:
         raise NotImplementedError
 
     def score_block(self, block: Sequence[int]) -> list[int]:
-        """Argmax next token at each block position; appends the block.
+        """Append the block; return the argmax after each block position.
 
-        Entry i is the argmax given (cached prefix + block[:i]), so the
-        first entry scores the position of block[0] itself. One call models
-        a single parallel verification pass over the whole block.
+        Entry i is the argmax given (cached prefix + block[:i+1]), so the
+        last entry is the token that follows the whole block. One call
+        models a single parallel forward pass over the whole block.
         """
         if not block:
             raise ValueError("block must be non-empty")
@@ -65,8 +67,8 @@ class LangModel:
                 raise InvalidToken(f"token {tok} outside vocab of size {self.vocab_size}")
         out = []
         for tok in block:
-            out.append(self._argmax_after(self._state))
             self._state.append(tok)
+            out.append(self._argmax_after(self._state))
         self.blocks_scored += 1
         self.tokens_scored += len(block)
         return out
@@ -82,28 +84,19 @@ class LangModel:
         raise NotImplementedError
 
 
-def peek_argmax(model: LangModel, probe_token: int = 0) -> int:
-    """Argmax continuation of the current cached prefix, cache unchanged.
+def greedy_extend(model: LangModel, feed: Sequence[int], n: int) -> list[int]:
+    """Greedily draft n tokens after the cached prefix plus ``feed``.
 
-    Scores a one-token probe and rolls it back; purity of the cache
-    contract guarantees the probe leaves no trace.
-    """
-    n = model.state_len
-    nxt = model.score_block([probe_token])[0]
-    model.truncate(n)
-    return nxt
-
-
-def greedy_extend(model: LangModel, n: int) -> list[int]:
-    """Greedily append n argmax tokens to the model's cache and return them.
-
-    Each chosen token conditions on the previously chosen ones.
+    Makes exactly n ``score_block`` calls: the first feeds ``feed`` (the
+    context the model has not seen yet) and each later one feeds the
+    previous drafted token, so each choice conditions on the ones before
+    it. The last drafted token is returned but not fed.
     """
     out: list[int] = []
     for _ in range(n):
-        nxt = peek_argmax(model)
-        model.score_block([nxt])
+        nxt = model.score_block(feed)[-1]
         out.append(nxt)
+        feed = [nxt]
     return out
 
 

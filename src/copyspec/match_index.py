@@ -62,7 +62,6 @@ class MatchIndex:
         # instrumentation: one mixing step per token fed to the hash
         self.mix_ops = 0
         self.lookups = 0
-        self.extends = 0
 
     def _hash_window(self, window: Sequence[int]) -> int:
         self.mix_ops += len(window)
@@ -83,7 +82,6 @@ class MatchIndex:
             )
         if list(context[len(context) - n_new:]) != list(new_tokens):
             raise ValueError("new_tokens is not the suffix of context")
-        self.extends += 1
         g = self.gamma
         t = len(context)
         first_end = max(g, self.length + 1)  # 1-based end position of the first new gram

@@ -36,27 +36,18 @@ def naive_gram_positions(context, gamma):
 
 
 def fresh_argmax(model: LangModel, prefix):
-    """Next-token argmax of a fresh clone fed exactly ``prefix``."""
-    clone = model.spawn()
-    if prefix:
-        clone.score_block(list(prefix))
-    out = clone.score_block([0])[0]
-    return out
+    """Next-token argmax of a fresh clone fed exactly ``prefix`` (non-empty)."""
+    return model.spawn().score_block(list(prefix))[-1]
 
 
 def greedy_reference(model: LangModel, prompt, max_new, eot=0):
     """Token-by-token greedy decode using only raw model calls."""
     clone = model.spawn()
-    clone.score_block(list(prompt))
     out = []
-    while len(out) < max_new:
-        n = clone.state_len
-        nxt = clone.score_block([0])[0]
-        clone.truncate(n)
-        if nxt == eot:
-            break
-        clone.score_block([nxt])
+    nxt = clone.score_block(list(prompt))[-1]
+    while len(out) < max_new and nxt != eot:
         out.append(nxt)
+        nxt = clone.score_block([nxt])[-1]
     return out
 
 

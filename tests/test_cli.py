@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import copyspec
 from copyspec.cli import main
 from copyspec.metrics import RunMetrics, aggregate
 from copyspec.synthetic import make_redundant_corpus
@@ -193,7 +195,8 @@ def test_console_entry_point(small_corpus_path):
         [sys.executable, "-m", "copyspec.cli", "run", "--corpus", str(small_corpus_path), "--strategy", "baseline"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": ""},
+        # the source root of the package under test, so an uninstalled checkout works
+        env={**os.environ, "PYTHONPATH": str(Path(copyspec.__file__).parents[1])},
     )
     assert proc.returncode == 0
     assert '"aggregate"' in proc.stdout

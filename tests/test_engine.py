@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copyspec.corpus import EOT_ID, Transcript, Turn, Vocabulary, tokenize
 from copyspec.engine import (
+    STRATEGIES,
     AttemptOutcome,
     BudgetExhausted,
     EngineConfig,
@@ -12,7 +14,7 @@ from copyspec.engine import (
 )
 from copyspec.lm import TableLM
 
-from oracles import greedy_reference, random_kgram_lm, random_table_lm
+from oracles import fresh_argmax, greedy_reference, random_kgram_lm, random_table_lm
 
 
 def chain_table(words, vocab_size, order=2, fallback=0):
@@ -84,12 +86,14 @@ def test_verify_block_partial_accept_and_divergence():
     assert outcome.accepted_k == 2
     assert outcome.bonus == 5 and outcome.bonus != 9  # diverges from first reject
     assert session.context == [1, 2, 3, 4, 5]
-    assert session.target.state_len == len(session.context)
+    # the rejected tokens are rolled back and the bonus stays pending
+    assert session.target.state == (1, 2, 3, 4)
 
 
-def test_verify_block_full_accept_bonus_from_extra_score():
+def test_verify_block_full_accept_bonus_from_same_pass():
     # greedy continuation of the prompt starts [4,1,2,3]; proposing exactly
-    # that prefix accepts everything, and the bonus is greedy's next token
+    # that prefix accepts everything, and the bonus is greedy's next token,
+    # read from the one verification pass
     chain = [9, 1, 2, 4, 1, 2, 3, 7, 8]
     target = chain_table(chain, vocab_size=10, order=3)
     reference = greedy_reference(target, [9, 1, 2], 6)
@@ -97,6 +101,7 @@ def test_verify_block_full_accept_bonus_from_extra_score():
     session = Session(target.spawn(), None, EngineConfig())
     session.extend_context([9, 1, 2])
     outcome = session.verify_block([4, 1, 2, 3], "copy")
+    assert session.target.blocks_scored == 2  # the prompt and the one pass
     assert outcome.accepted_k == 4
     assert outcome.bonus == reference[4]
     assert session.context == [9, 1, 2] + reference[:5]
@@ -154,9 +159,10 @@ def test_progress_and_accounting_invariants():
         for o in log:
             assert o.accepted_k + 1 >= 1
             assert 0 <= o.accepted_k <= max(o.proposed, 0)
-        # cache alignment after the run
-        assert session.target.state_len == len(session.context)
-        assert session.draft.state_len == len(session.context)
+        # cache alignment after the run: the target holds everything but
+        # the pending bonus, the draft holds some prefix of the context
+        assert session.target.state == tuple(session.context[:-1])
+        assert session.draft.state == tuple(session.context[: session.draft.state_len])
 
 
 def test_rollback_equivalence_replay():
@@ -165,17 +171,70 @@ def test_rollback_equivalence_replay():
     session = Session(target, None, EngineConfig(strategy="copy"))
     session.extend_context([1, 2, 3])
     session.run(20)
-    from copyspec.lm import peek_argmax
-
-    live = peek_argmax(session.target)
+    assert session.target.state == tuple(session.context[:-1])
+    live = session.target.score_block(session.context[-1:])  # the pending token
     session.target.truncate(0)
-    session.target.score_block(session.context)
-    assert peek_argmax(session.target) == live
+    assert session.target.score_block(session.context)[-1:] == live
+    assert live == [fresh_argmax(session.target, session.context)]
 
 
 def test_generate_requires_prompt():
     with pytest.raises(ValueError):
         generate([], TableLM(2, 1, {}, 0))
+    with pytest.raises(ValueError):  # an empty prefix has no after-position score
+        Session(TableLM(2, 1, {}, 0), None, EngineConfig()).step(1)
+
+
+def model_calls(session):
+    draft_calls = session.draft.blocks_scored if session.draft is not None else 0
+    return session.target.blocks_scored, session.target.tokens_scored, draft_calls
+
+
+def assert_run_accounting(before, after, log):
+    """The calls one run made are what the cost model charges for its log.
+
+    One target pass over the pending token plus the proposal per attempt,
+    and one draft call per drafted token; copy and plain attempts never
+    call the draft.
+    """
+    target_calls, target_tokens, draft_calls = (a - b for a, b in zip(after, before))
+    assert target_calls == len(log)
+    assert target_tokens == sum(o.proposed + 1 for o in log)
+    assert draft_calls == sum(o.proposed for o in log if o.source == "draft")
+
+
+def test_model_calls_match_cost_model(redundant_setup, monkeypatch):
+    corpus, vocab, target, draft = redundant_setup
+    prompts, runs = [], []
+    extend_context, run = Session.extend_context, Session.run
+
+    def counted_extend_context(self, tokens):
+        prompts.append(len(tokens))
+        extend_context(self, tokens)
+
+    def counted_run(self, *args):
+        before = model_calls(self)
+        output, log = run(self, *args)
+        runs.append((before, model_calls(self), log))
+        return output, log
+
+    monkeypatch.setattr(Session, "extend_context", counted_extend_context)
+    monkeypatch.setattr(Session, "run", counted_run)
+    for strategy in STRATEGIES:
+        for transcript in corpus:
+            prompts.clear()
+            runs.clear()
+            t, d = target.spawn(), draft.spawn()
+            run_transcript(transcript, vocab, t, d, EngineConfig(strategy=strategy))
+            for before, after, log in runs:
+                assert_run_accounting(before, after, log)
+            attempts = [o for _, _, log in runs for o in log]
+            # each turn's prompt is one block per model; the newest token of
+            # the first prompt is still pending when generation starts
+            assert t.blocks_scored == len(attempts) + len(prompts)
+            assert t.tokens_scored == sum(prompts) - 1 + sum(o.proposed + 1 for o in attempts)
+            drafted = sum(o.proposed for o in attempts if o.source == "draft")
+            assert d.blocks_scored == len(prompts) + drafted
 
 
 def make_repeat_transcript():
@@ -285,3 +344,51 @@ def test_engine_config_validation():
     assert EngineConfig().gamma == 3
     assert EngineConfig().chunk_len == 10
     assert EngineConfig().max_new_tokens == 1024
+
+
+@st.composite
+def table_lms(draw, vocab_size):
+    order = draw(st.integers(1, 3))
+    token = st.integers(0, vocab_size - 1)
+    table = draw(st.dictionaries(st.tuples(*[token] * order), token, max_size=4 * vocab_size))
+    return TableLM(vocab_size, order, table, draw(token))
+
+
+@st.composite
+def sessions(draw):
+    """A random target/draft pair, config and extend/run interleaving."""
+    vocab_size = draw(st.integers(2, 6))  # small vocabularies put <eot> in copy chunks
+    target, draft = draw(table_lms(vocab_size)), draw(table_lms(vocab_size))
+    config = EngineConfig(
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        gamma=draw(st.integers(1, 8)),
+        chunk_len=draw(st.integers(1, 12)),
+        draft_len=draw(st.integers(1, 5)),
+    )
+    # repeated prompts give the index matches, some spanning <eot>
+    prompt = st.builds(
+        lambda part, repeats: part * repeats,
+        st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=6),
+        st.integers(1, 3),
+    )
+    budget = st.one_of(st.integers(1, 3), st.integers(4, 40))
+    ops = draw(st.lists(st.one_of(prompt, budget), min_size=1, max_size=6))
+    return target, draft, config, [draw(prompt)] + ops
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(sessions())
+def test_session_interleavings_match_greedy_and_accounting(case):
+    target, draft, config, ops = case
+    session = Session(target.spawn(), draft.spawn(), config)
+    for op in ops:
+        if isinstance(op, list):
+            session.extend_context(op)
+        else:
+            expected = greedy_reference(target, session.context, op)
+            before = model_calls(session)
+            out, log = session.run(op)
+            assert out == expected
+            assert_run_accounting(before, model_calls(session), log)
+        assert session.target.state == tuple(session.context[:-1])
+        assert session.draft.state == tuple(session.context[: session.draft.state_len])
