@@ -12,12 +12,12 @@ quantity that makes a gamma value good or bad for copy detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corpus import Transcript, Vocabulary
-from .engine import EngineConfig, run_transcript
+from .engine import EngineConfig, run_corpus
 from .lm import LangModel
 from .metrics import CostModel, RunMetrics, aggregate
 
@@ -34,6 +34,7 @@ class ZeroVector(ValueError):
 class SweepResult:
     axis: str  # "gamma" | "chunk_len"
     points: list[tuple[int, RunMetrics, int]]  # (value, pooled metrics, copy attempts)
+    runs: list = field(default_factory=list, repr=False)  # run_corpus output, one run per value
 
     def to_dict(self) -> dict:
         return {
@@ -62,11 +63,14 @@ def sweep(
     axis: str,
     values: list[int],
     cost: CostModel | None = None,
+    jobs: int = 1,
 ) -> SweepResult:
     """Run the whole corpus once per value of ``axis``, all else fixed.
 
-    Each model is respawned per run so cached state never leaks between
-    sweep points; results are therefore identical to independent runs.
+    The models are spawned once per transcript and truncated to the empty
+    prefix between values, so results are identical to independent runs.
+    Each point pools its turns in corpus order; ``runs`` keeps the
+    per-transcript metrics behind the points.
     """
     if axis not in ("gamma", "chunk_len"):
         raise ValueError(f"axis must be 'gamma' or 'chunk_len', got {axis!r}")
@@ -74,19 +78,13 @@ def sweep(
         raise ValueError("values must be non-empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("values must be strictly increasing")
-    cost = cost or CostModel()
+    configs = [replace(base_config, **{axis: value}) for value in values]
+    runs = run_corpus(corpus, vocab, target, draft, configs, cost, jobs)
     points = []
-    for value in values:
-        config = replace(base_config, **{axis: value})
-        per_turn: list[RunMetrics] = []
-        for transcript in corpus:
-            results = run_transcript(
-                transcript, vocab, target.spawn(), draft.spawn() if draft else None, config, cost
-            )
-            per_turn.extend(r.metrics for r in results)
-        pooled = aggregate(per_turn)
+    for i, value in enumerate(values):
+        pooled = aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])
         points.append((value, pooled, pooled.copy_attempts))
-    return SweepResult(axis=axis, points=points)
+    return SweepResult(axis=axis, points=points, runs=runs)
 
 
 @dataclass

@@ -13,12 +13,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import cs_study, sweep
 from .corpus import Transcript, Vocabulary, load_transcripts, training_sequences
-from .engine import EngineConfig, run_transcript
+from .engine import EngineConfig, run_corpus
 from .lm import KgramLM, train_kgram
 from .metrics import (
     CostModel,
@@ -65,13 +64,15 @@ def _nonnegative_float(text):
     return value
 
 
-def _int_list(text):
+def _positive_list(text):
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    if min(values) <= 0:
+        raise argparse.ArgumentTypeError(f"every value must be positive, got {text!r}")
     return values
 
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--strategy", default="copy", choices=sorted(STRATEGY_FLAGS))
     p_sweep.add_argument("--axis", required=True, choices=("gamma", "chunk"))
-    p_sweep.add_argument("--values", required=True, type=_int_list, help="comma-separated, strictly increasing")
+    p_sweep.add_argument("--values", required=True, type=_positive_list, help="comma-separated, positive, strictly increasing")
     p_sweep.add_argument("--records-out", default=None, help="also write raw per-transcript records (JSONL)")
 
     p_train = sub.add_parser("train-lm", help="train a k-gram model on a corpus and dump it")
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_skip = sub.add_parser("skipgram", help="left-context embedding study: mean cosine similarity per gamma")
     p_skip.add_argument("--corpus", required=True)
-    p_skip.add_argument("--gammas", type=_int_list, default=[2, 3, 4, 5], help="comma-separated gammas")
+    p_skip.add_argument("--gammas", type=_positive_list, default=[2, 3, 4, 5], help="comma-separated positive gammas")
     p_skip.add_argument("--dim", type=_positive(), default=16)
     p_skip.add_argument("--epochs", type=_positive(), default=10)
     p_skip.add_argument("--lr", type=_nonnegative_float, default=0.1)
@@ -141,19 +142,27 @@ def _load_corpus(path: str) -> list[Transcript]:
 
 
 def _build_models(args, transcripts):
+    """Target and (if the strategy drafts) draft model, counted once.
+
+    Trained models are views at their own order of one set of counts:
+    the counts at each order do not depend on the highest order counted.
+    A loaded target may come from another corpus, so the draft is then
+    trained on this one.
+    """
+    wants_draft = _engine_config(args).allows_draft
     if args.model_path:
         target, symbols = KgramLM.load(args.model_path)
         vocab = Vocabulary(list(symbols) if symbols else None)
         seqs = training_sequences(transcripts, vocab)
         target.vocab_size = max(target.vocab_size, len(vocab))
-    else:
-        vocab = Vocabulary()
-        seqs = training_sequences(transcripts, vocab)
-        target = train_kgram(seqs, args.target_order, vocab_size=len(vocab))
-    draft = None
-    config = _engine_config(args)
-    if config.allows_draft:
-        draft = train_kgram(seqs, args.draft_order, vocab_size=len(vocab))
+        draft = train_kgram(seqs, args.draft_order, vocab_size=len(vocab)) if wants_draft else None
+        return vocab, target, draft
+    vocab = Vocabulary()
+    seqs = training_sequences(transcripts, vocab)
+    top = max(args.target_order, args.draft_order) if wants_draft else args.target_order
+    counts = train_kgram(seqs, top, vocab_size=len(vocab)).counts
+    target = KgramLM(args.target_order, counts, len(vocab))
+    draft = KgramLM(args.draft_order, counts, len(vocab)) if wants_draft else None
     return vocab, target, draft
 
 
@@ -198,22 +207,9 @@ def _config_echo(args, extra=None) -> dict:
     return echo
 
 
-def _run_one(job):
-    transcript, vocab, target, draft, config, cost = job
-    results = run_transcript(
-        transcript, vocab, target.spawn(), draft.spawn() if draft else None, config, cost
-    )
-    return transcript.id, transcript.category, [(r.turn, r.metrics) for r in results]
-
-
-def _run_corpus(transcripts, vocab, target, draft, config, cost, jobs):
-    job_list = [(t, vocab, target, draft, config, cost) for t in transcripts]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_one, job_list))
-    else:
-        raw = [_run_one(job) for job in job_list]
-    return sorted(raw, key=lambda item: item[0])  # order-stable: by transcript id
+def _by_id(runs):
+    """Records are emitted sorted by transcript id, whatever the corpus order."""
+    return sorted(runs, key=lambda item: item[0])
 
 
 def _emit(args, payload: dict, records: list[dict]) -> None:
@@ -235,13 +231,13 @@ def cmd_run(args) -> int:
     config = _engine_config(args)
     cost = _cost_model(args)
     echo = _config_echo(args)
-    raw = _run_corpus(transcripts, vocab, target, draft, config, cost, args.jobs)
+    runs = run_corpus(transcripts, vocab, target, draft, [config], cost, args.jobs)
 
     records = []
     by_turn: dict[int, list] = {}
     by_category: dict[str, list] = {}
     flat = []
-    for tid, category, turns in raw:
+    for tid, category, (turns,) in _by_id(runs):
         for turn, metrics in turns:
             records.append(metrics_record(tid, category, turn, args.strategy, metrics, echo))
             by_turn.setdefault(turn, []).append(metrics)
@@ -270,22 +266,18 @@ def cmd_sweep(args) -> int:
     axis = "gamma" if args.axis == "gamma" else "chunk_len"
     echo = _config_echo(args, {"axis": axis, "values": ",".join(map(str, args.values))})
 
-    result = sweep(transcripts, vocab, target, draft, config, axis, args.values, cost)
+    result = sweep(transcripts, vocab, target, draft, config, axis, args.values, cost, args.jobs)
     payload = {"config": echo, "sweep": result.to_dict()}
 
     if args.records_out:
-        from dataclasses import replace
-
         lines = []
-        for value in args.values:
-            raw = _run_corpus(
-                transcripts, vocab, target, draft, replace(config, **{axis: value}), cost, args.jobs
-            )
-            for tid, category, turns in raw:
-                for turn, metrics in turns:
+        runs = _by_id(result.runs)
+        for i, value in enumerate(args.values):
+            for tid, category, per_config in runs:
+                for turn, metrics in per_config[i]:
                     rec = metrics_record(tid, category, turn, args.strategy, metrics, echo)
                     rec["sweep_value"] = value
-                    lines.append(json.dumps(rec, sort_keys=True))
+                    lines.append(json.dumps(rec, sort_keys=True, allow_nan=False))
         atomic_write_text(args.records_out, "\n".join(lines) + "\n")
 
     if args.format == "json":

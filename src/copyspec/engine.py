@@ -22,6 +22,7 @@ sequence equals plain greedy decoding of the target model.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
@@ -267,3 +268,48 @@ def run_transcript(
             )
         )
     return results
+
+
+def _run_configs(job):
+    """One transcript under each config, on one spawn of each model.
+
+    The spawns are rolled back to the empty prefix before every config,
+    which the cache contract makes equivalent to fresh spawns; their
+    argmax memos carry over, so a config re-scores contexts an earlier
+    one reached at no extra cost. Only the per-turn metrics are kept.
+    """
+    transcript, vocab, target, draft, configs, cost = job
+    target = target.spawn()
+    draft = draft.spawn() if draft is not None else None
+    runs = []
+    for config in configs:
+        for model in (target, draft):
+            if model is not None:
+                model.truncate(0)
+        results = run_transcript(transcript, vocab, target, draft, config, cost)
+        runs.append([(r.turn, r.metrics) for r in results])
+    return transcript.id, transcript.category, runs
+
+
+def run_corpus(
+    transcripts: list[Transcript],
+    vocab: Vocabulary,
+    target: LangModel,
+    draft: LangModel | None,
+    configs: list[EngineConfig],
+    cost: CostModel | None = None,
+    jobs: int = 1,
+) -> list[tuple[str, str, list[list[tuple[int, RunMetrics]]]]]:
+    """Run every transcript under every config; the one corpus-run path.
+
+    Returns, per transcript in corpus order, ``(id, category, runs)``
+    where ``runs[i]`` lists ``(turn, metrics)`` under ``configs[i]``.
+    Each transcript spawns its models once and is one job: with
+    ``jobs > 1`` transcripts are spread over that many worker processes,
+    and the result does not depend on ``jobs``.
+    """
+    job_list = [(t, vocab, target, draft, configs, cost) for t in transcripts]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_configs, job_list))
+    return [_run_configs(job) for job in job_list]

@@ -170,7 +170,10 @@ def metrics_record(
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partials."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"cannot write {path}: directory {path.parent} does not exist") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -182,7 +185,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def records_to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def records_to_csv(records: list[dict]) -> str:

@@ -31,19 +31,25 @@ def small_setup():
 
 
 def test_sweep_single_point_equals_direct_run(small_setup):
-    corpus, vocab, target, = small_setup
-    config = EngineConfig(strategy="copy")
-    result = sweep(corpus, vocab, target, None, config, "gamma", [3])
-    per_turn = []
-    for t in corpus:
-        per_turn.extend(
-            r.metrics for r in run_transcript(t, vocab, target.spawn(), None, config, CostModel())
-        )
-    direct = aggregate(per_turn)
-    value, pooled, attempts = result.points[0]
-    assert value == 3
-    assert pooled == direct
-    assert attempts == direct.copy_attempts
+    # each point equals independent runs on fresh spawns, so no state can
+    # leak between values through the models a transcript reuses
+    corpus, vocab, target = small_setup
+    draft = train_kgram(training_sequences(corpus, vocab), 2, vocab_size=len(vocab))
+    values = [2, 3, 5]
+    for strategy, draft_model in (("copy", None), ("copy_plus_specdec", draft)):
+        result = sweep(corpus, vocab, target, draft_model, EngineConfig(strategy=strategy), "gamma", values)
+        assert [v for v, _, _ in result.points] == values
+        for value, pooled, attempts in result.points:
+            config = EngineConfig(gamma=value, strategy=strategy)
+            per_turn = []
+            for t in corpus:
+                fresh_draft = draft_model.spawn() if draft_model else None
+                per_turn.extend(
+                    r.metrics for r in run_transcript(t, vocab, target.spawn(), fresh_draft, config, CostModel())
+                )
+            direct = aggregate(per_turn)
+            assert pooled == direct
+            assert attempts == direct.copy_attempts
 
 
 def test_sweep_validation(small_setup):

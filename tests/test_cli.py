@@ -10,7 +10,7 @@ import copyspec
 from copyspec.cli import main
 from copyspec.metrics import RunMetrics, aggregate
 from copyspec.synthetic import make_redundant_corpus
-from copyspec.corpus import save_transcripts
+from copyspec.corpus import load_transcripts, save_transcripts
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +61,45 @@ def test_run_deterministic_across_repeats(small_corpus_path, tmp_path):
 
 
 def test_jobs_parallelism_is_order_stable(small_corpus_path, tmp_path):
-    serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", serial) == 0
-    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--jobs", "2", "--out", parallel) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    run = ["run", "--corpus", small_corpus_path, "--strategy", "copy"]
+    sweep = ["sweep", "--corpus", small_corpus_path, "--strategy", "copy+specdec", "--axis", "gamma", "--values", "2,3,5"]
+    for argv in (run, sweep):
+        outputs = {}
+        for jobs in ("1", "2"):
+            out, records = tmp_path / f"{jobs}.json", tmp_path / f"{jobs}.records.jsonl"
+            extra = ["--records-out", records] if argv is sweep else []
+            assert run_cli(*argv, "--jobs", jobs, "--out", out, *extra) == 0
+            outputs[jobs] = [out.read_bytes()] + ([records.read_bytes()] if extra else [])
+        assert outputs["1"] == outputs["2"]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` made through any copyspec module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("copyspec") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_sweep_computes_each_result_once(small_corpus_path, tmp_path, monkeypatch):
+    # one corpus pass per value, records included, and one k-gram training
+    runs = _count_calls(monkeypatch, copyspec.engine, "run_transcript")
+    trainings = _count_calls(monkeypatch, copyspec.lm, "train_kgram")
+    argv = ["sweep", "--corpus", small_corpus_path, "--strategy", "copy+specdec", "--axis", "gamma"]
+    records = tmp_path / "records.jsonl"
+    assert run_cli(*argv, "--values", "2,3,5", "--out", tmp_path / "s.json", "--records-out", records) == 0
+    transcripts = load_transcripts(small_corpus_path)
+    assert len(runs) == len(transcripts) * 3
+    assert len(trainings) == 1
+    turns = sum(len(t.user_turns()) for t in transcripts)
+    assert len(records.read_text().splitlines()) == 3 * turns
 
 
 def test_csv_format_matches_json_records(small_corpus_path, tmp_path):
@@ -97,6 +132,27 @@ def test_sweep_rejects_bad_values(small_corpus_path):
         with pytest.raises(SystemExit) as err:
             run_cli("sweep", "--corpus", small_corpus_path, "--axis", "gamma", "--values", bad)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["skipgram", "--gammas", "0,2"], 2, "every value must be positive, got '0,2'"),
+        (["skipgram", "--gammas", "-2"], 2, "every value must be positive, got '-2'"),
+        (["sweep", "--axis", "gamma", "--values", "0,1"], 2, "every value must be positive, got '0,1'"),
+        (["sweep", "--axis", "chunk", "--values", "0,4"], 2, "every value must be positive, got '0,4'"),
+        (["run", "--strategy", "copy", "--out", "{tmp}/missing/x.json"], 1, "cannot write {tmp}/missing/x.json"),
+    ],
+    ids=["skipgram-gamma-zero", "skipgram-gamma-negative", "sweep-gamma-zero", "sweep-chunk-zero", "out-missing-dir"],
+)
+def test_bad_input_exit_code_and_message(small_corpus_path, tmp_path, capsys, argv, code, message):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        got = run_cli(argv[0], "--corpus", small_corpus_path, *argv[1:])
+    except SystemExit as exc:  # usage errors exit from the parser
+        got = exc.code
+    assert got == code
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
 def test_sweep_reaggregation_oracle(small_corpus_path, tmp_path):

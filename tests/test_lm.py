@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copyspec.lm import (
     InvalidToken,
@@ -164,3 +165,20 @@ def test_persistence_round_trip(tmp_path):
     assert loaded.counts == model.counts
     with pytest.raises(ValueError):
         KgramLM.from_dict({"format": "other"})
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    corpus=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=24), min_size=1, max_size=4),
+    probes=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=12), max_size=3),
+    order=st.integers(1, 5),
+    extra=st.integers(0, 3),
+)
+def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, order, extra):
+    # counts taken at a higher order, read at ``order``, score every prefix
+    # as a model trained at ``order`` alone; one spawn is reused throughout
+    view = KgramLM(order, train_kgram(corpus, order + extra, vocab_size=6).counts, 6).spawn()
+    alone = train_kgram(corpus, order, vocab_size=6)
+    for seq in corpus + probes:
+        view.truncate(0)
+        assert view.score_block(seq) == alone.spawn().score_block(seq)
