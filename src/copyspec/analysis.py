@@ -179,14 +179,20 @@ def predict_distribution(embedding: EmbeddingModel, context: list[int]) -> np.nd
 
 
 def cosine_similarity(context_vec: np.ndarray, token_vec: np.ndarray) -> float:
-    """CS(a, b) = a.b / (|a| |b|); raises :class:`ZeroVector` on zero input."""
+    """CS(a, b) = a.b / (|a| |b|); raises :class:`ZeroVector` on zero input.
+
+    Each vector is first divided by its largest magnitude, which leaves CS
+    unchanged but keeps the squared norms clear of the subnormal range,
+    where tiny vectors would lose precision.
+    """
     a = np.asarray(context_vec, dtype=float)
     b = np.asarray(token_vec, dtype=float)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    sa = float(np.abs(a).max(initial=0.0))
+    sb = float(np.abs(b).max(initial=0.0))
+    if sa == 0.0 or sb == 0.0:
         raise ZeroVector("cosine similarity undefined for zero vectors")
-    return float(np.dot(a, b) / (na * nb))
+    a, b = a / sa, b / sb
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def context_vector(embedding: EmbeddingModel, context: list[int]) -> np.ndarray:

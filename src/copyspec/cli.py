@@ -76,6 +76,18 @@ def _positive_list(text):
     return values
 
 
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--values -1,4`` as ``--values=-1,4``: argparse would read
+    ``-1,4`` as an option flag and never show ``_positive_list``'s message."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--values", "--gammas") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="copyspec",
@@ -395,7 +407,7 @@ def cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     if getattr(args, "values", None) is not None:
         if any(b <= a for a, b in zip(args.values, args.values[1:])):
             parser.error("--values must be strictly increasing")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
 from .lm import LangModel, greedy_extend
-from .match_index import EmptyChunk, MatchIndex, extract_chunk
+from .match_index import MatchIndex, extract_chunk
 from .metrics import CostModel, RunMetrics, score_log
 
 STRATEGIES = ("baseline", "copy", "specdec", "copy_plus_specdec")
@@ -94,7 +94,9 @@ class Session:
 
     The context may be extended across multiple generation runs (one per
     conversation turn); the match index persists and grows with it, so
-    later turns can copy from everything that came before.
+    later turns can copy from everything that came before. Only copying
+    strategies keep an index: for the others ``index`` is None and the
+    context is never indexed.
     """
 
     def __init__(self, target: LangModel, draft: LangModel | None, config: EngineConfig):
@@ -102,11 +104,11 @@ class Session:
         self.draft = draft
         self.config = config
         self.context: list[int] = []
-        self.index = MatchIndex(gamma=config.gamma)
+        self.index = MatchIndex(gamma=config.gamma) if config.allows_copy else None
         self.log: list[AttemptOutcome] = []
 
     def extend_context(self, tokens: list[int]) -> None:
-        """Append prompt-side tokens: indexed and fed to the model caches.
+        """Append prompt-side tokens: indexed (when copying) and fed to the model caches.
 
         Each model is fed the context it has not seen except the newest
         token, which stays pending until the next attempt's pass. Prompt
@@ -115,7 +117,8 @@ class Session:
         if not tokens:
             return
         self.context.extend(tokens)
-        self.index.extend(self.context, tokens)
+        if self.index is not None:
+            self.index.extend(self.context, tokens)
         for model in (self.target, self.draft):
             if model is not None and model.state_len < len(self.context) - 1:
                 model.score_block(self.context[model.state_len:-1])
@@ -155,7 +158,8 @@ class Session:
             self.draft.truncate(t + k)
         committed = proposal[:k] + [bonus]
         self.context.extend(committed)
-        self.index.extend(self.context, committed)
+        if self.index is not None:
+            self.index.extend(self.context, committed)
         self.log.append(outcome)
         return outcome
 
@@ -178,12 +182,9 @@ class Session:
             index_ops += 1
             match = self.index.lookup(self.context)
             if match is not None:
-                try:
-                    chunk = extract_chunk(self.context, match, min(cfg.chunk_len, cap))
-                except EmptyChunk:
-                    chunk = None  # match at the very end: nothing to propose
-                if chunk:
-                    return self.verify_block(chunk, SOURCE_COPY, index_ops)
+                # a hit ends before the suffix starts, so the chunk is non-empty
+                chunk = extract_chunk(self.context, match, min(cfg.chunk_len, cap))
+                return self.verify_block(chunk, SOURCE_COPY, index_ops)
         if cfg.allows_draft and self.draft is not None and cap >= 1:
             unseen = self.context[self.draft.state_len:]
             proposal = greedy_extend(self.draft, unseen, min(cfg.draft_len, cap))

@@ -1,23 +1,23 @@
 """Dictionary of all gamma-token subsequences of a context.
 
-Supports O(gamma) amortized insert and lookup via a polynomial hash with
-exact-token confirmation, so a hash collision can never produce a false
-match. Positions are 1-based throughout this module: the gram starting at
-position q covers context[q .. q+gamma-1] inclusive.
+Each distinct gram maps to the position of its first occurrence, so
+insert and lookup are one dict operation on the gram's token tuple; the
+dict compares the stored tuple with the query, so a match is always
+exact. The earliest occurrence is the only one a lookup needs: if it
+overlaps the current suffix, every later one does too. Positions are
+1-based throughout this module: the gram starting at position q covers
+context[q .. q+gamma-1] inclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-HASH_BASE = 1099511628211
-_MASK64 = (1 << 64) - 1
+from typing import Sequence
 
 
 class EmptyChunk(ValueError):
     """The matched occurrence sits at the very end of the context; there is
-    nothing after it to copy. Callers treat this as no-match."""
+    nothing after it to copy."""
 
 
 @dataclass(frozen=True)
@@ -32,47 +32,30 @@ class MatchResult:
     copy_start: int
 
 
-def poly_hash(window: Sequence[int]) -> int:
-    h = 0
-    for tok in window:
-        h = (h * HASH_BASE + tok + 1) & _MASK64
-    return h
-
-
 class MatchIndex:
-    """Buckets of (position, exact tokens) keyed by the gram's 64-bit hash.
+    """First 1-based position of every distinct gram, keyed by its tokens.
 
-    Within a bucket positions are strictly increasing, so the first
-    confirmed entry is the earliest occurrence. ``length`` tracks how many
-    context tokens have been indexed; callers must extend the index with
-    exactly the tokens they append to the context.
-
-    ``hash_fn`` is injectable so tests can force collisions with a
-    deliberately weak hash; lookups always confirm stored tokens before
-    returning a match.
+    ``length`` tracks how many context tokens have been indexed; callers
+    must extend the index with exactly the tokens they append to the
+    context. ``mix_ops`` counts gamma per gram read by ``extend`` or
+    ``lookup``, the work of reading one gram.
     """
 
-    def __init__(self, gamma: int = 3, hash_fn: Callable[[Sequence[int]], int] | None = None):
+    def __init__(self, gamma: int = 3):
         if gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {gamma}")
         self.gamma = gamma
         self.length = 0
-        self.buckets: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        self._hash = hash_fn or poly_hash
-        # instrumentation: one mixing step per token fed to the hash
+        self.first: dict[tuple[int, ...], int] = {}
         self.mix_ops = 0
         self.lookups = 0
-
-    def _hash_window(self, window: Sequence[int]) -> int:
-        self.mix_ops += len(window)
-        return self._hash(window)
 
     def extend(self, context: Sequence[int], new_tokens: Sequence[int]) -> None:
         """Index every gamma-gram ending inside the newly appended region.
 
         ``context`` is the full accepted sequence and ``new_tokens`` its
-        just-appended suffix. Each gram is inserted exactly once; cost is
-        O(gamma) hash work per appended token.
+        just-appended suffix. Each gram is read exactly once, so the cost
+        is O(gamma) per appended token whatever the context length.
         """
         n_new = len(new_tokens)
         if self.length + n_new != len(context):
@@ -84,36 +67,30 @@ class MatchIndex:
             raise ValueError("new_tokens is not the suffix of context")
         g = self.gamma
         t = len(context)
-        first_end = max(g, self.length + 1)  # 1-based end position of the first new gram
-        for end in range(first_end, t + 1):
-            start = end - g  # 0-based slice start
-            gram = tuple(context[start:end])
-            h = self._hash_window(gram)
-            self.buckets.setdefault(h, []).append((start + 1, gram))
+        first_start = max(1, self.length - g + 2)  # 1-based start of the first new gram
+        setdefault = self.first.setdefault
+        for start in range(first_start, t - g + 2):
+            setdefault(tuple(context[start - 1:start - 1 + g]), start)
+        self.mix_ops += g * max(0, t - g + 2 - first_start)
         self.length = t
 
-    def lookup(self, context: Sequence[int], t: int | None = None) -> MatchResult | None:
+    def lookup(self, context: Sequence[int]) -> MatchResult | None:
         """Earliest occurrence of the last gamma tokens that does not overlap them.
 
-        ``t`` is the context length (defaults to len(context)). Returns the
-        smallest indexed position p of s = context[t-gamma+1 .. t] with
-        p + gamma - 1 < t - gamma + 1, confirmed token-by-token against the
-        stored gram; None when no such occurrence exists.
+        With t = len(context) and s = context[t-gamma+1 .. t], returns the
+        smallest indexed position p of s with p + gamma - 1 < t - gamma + 1;
+        None when no such occurrence exists.
         """
         self.lookups += 1
         g = self.gamma
-        if t is None:
-            t = len(context)
+        t = len(context)
         if t < g:
             return None
-        suffix = tuple(context[t - g:t])
-        limit = t - g + 1  # entries must satisfy p + g - 1 < limit
-        for pos, gram in self.buckets.get(self._hash_window(suffix), ()):
-            if pos + g - 1 >= limit:
-                break  # positions ascend; no later entry can satisfy the bound
-            if gram == suffix:
-                return MatchResult(source_pos=pos, copy_start=pos + g)
-        return None
+        self.mix_ops += g
+        pos = self.first.get(tuple(context[t - g:]))
+        if pos is None or pos + g - 1 >= t - g + 1:
+            return None
+        return MatchResult(source_pos=pos, copy_start=pos + g)
 
 
 def extract_chunk(context: Sequence[int], match: MatchResult, chunk_len: int) -> list[int]:

@@ -35,6 +35,12 @@ def naive_gram_positions(context, gamma):
     ]
 
 
+def naive_first_positions(context, gamma):
+    """Each distinct gram's smallest 1-based position, over all positions."""
+    pairs = naive_gram_positions(context, gamma)
+    return {gram: min(q for q, other in pairs if other == gram) for _, gram in pairs}
+
+
 def fresh_argmax(model: LangModel, prefix):
     """Next-token argmax of a fresh clone fed exactly ``prefix`` (non-empty)."""
     return model.spawn().score_block(list(prefix))[-1]

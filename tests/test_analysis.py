@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from copyspec.analysis import (
     VocabTooLarge,
@@ -162,6 +162,7 @@ def test_cosine_zero_vector():
     st.floats(0.1, 7.0),
     st.floats(0.1, 7.0),
 )
+@example(vals=[0.0, 2.7607288587194162e-160], lam=2.0, mu=1.0)  # squared norm is subnormal
 def test_cosine_symmetric_and_scale_invariant(vals, lam, mu):
     a = np.array(vals)
     b = a[::-1] + 0.25

@@ -141,9 +141,14 @@ def test_sweep_rejects_bad_values(small_corpus_path):
         (["skipgram", "--gammas", "-2"], 2, "every value must be positive, got '-2'"),
         (["sweep", "--axis", "gamma", "--values", "0,1"], 2, "every value must be positive, got '0,1'"),
         (["sweep", "--axis", "chunk", "--values", "0,4"], 2, "every value must be positive, got '0,4'"),
+        (["sweep", "--axis", "gamma", "--values", "-1,4"], 2, "every value must be positive, got '-1,4'"),
+        (["skipgram", "--gammas", "-2,3"], 2, "every value must be positive, got '-2,3'"),
         (["run", "--strategy", "copy", "--out", "{tmp}/missing/x.json"], 1, "cannot write {tmp}/missing/x.json"),
     ],
-    ids=["skipgram-gamma-zero", "skipgram-gamma-negative", "sweep-gamma-zero", "sweep-chunk-zero", "out-missing-dir"],
+    ids=[
+        "skipgram-gamma-zero", "skipgram-gamma-negative", "sweep-gamma-zero", "sweep-chunk-zero",
+        "sweep-gamma-negative-first", "skipgram-gamma-negative-first", "out-missing-dir",
+    ],
 )
 def test_bad_input_exit_code_and_message(small_corpus_path, tmp_path, capsys, argv, code, message):
     argv = [a.format(tmp=tmp_path) for a in argv]

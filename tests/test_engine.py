@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyspec.corpus import EOT_ID, Transcript, Turn, Vocabulary, tokenize
+from copyspec.corpus import EOT_ID, Transcript, Turn, Vocabulary, tokenize, turn_prefix_tokens
 from copyspec.engine import (
     STRATEGIES,
     AttemptOutcome,
@@ -13,6 +13,7 @@ from copyspec.engine import (
     run_transcript,
 )
 from copyspec.lm import TableLM
+from copyspec.match_index import MatchIndex
 
 from oracles import fresh_argmax, greedy_reference, random_kgram_lm, random_table_lm
 
@@ -235,6 +236,38 @@ def test_model_calls_match_cost_model(redundant_setup, monkeypatch):
             assert t.tokens_scored == sum(prompts) - 1 + sum(o.proposed + 1 for o in attempts)
             drafted = sum(o.proposed for o in attempts if o.source == "draft")
             assert d.blocks_scored == len(prompts) + drafted
+
+
+def test_non_copy_strategies_never_touch_the_index(redundant_setup, monkeypatch):
+    corpus, vocab, target, draft = redundant_setup
+    calls = {"extend": 0, "lookup": 0}
+    for name in calls:
+        method = getattr(MatchIndex, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MatchIndex, name, counted)
+    budget = EngineConfig().max_new_tokens
+    for strategy in ("baseline", "specdec", "copy"):
+        for transcript in corpus:
+            for name in calls:
+                calls[name] = 0
+            results = run_transcript(
+                transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy)
+            )
+            if strategy == "copy":  # the counters do see a copying session
+                assert calls["extend"] > 0 and calls["lookup"] > 0
+                continue
+            assert calls == {"extend": 0, "lookup": 0}, strategy
+            context: list[int] = []
+            for turn, result in zip(transcript.user_turns(), results):
+                context += turn_prefix_tokens(turn.text, vocab, grow=False)
+                assert result.output == greedy_reference(target, context, budget)
+                context += result.output
+                if len(result.output) < budget:
+                    context.append(EOT_ID)  # the end-of-text sentinel stays in the context
 
 
 def make_repeat_transcript():

@@ -1,36 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copyspec.match_index import EmptyChunk, MatchIndex, MatchResult, extract_chunk
 
-from oracles import naive_gram_positions, naive_match_scan
+from oracles import naive_first_positions, naive_match_scan
 
 
-def build_index(context, gamma, hash_fn=None):
-    index = MatchIndex(gamma=gamma, hash_fn=hash_fn)
+def build_index(context, gamma):
+    index = MatchIndex(gamma=gamma)
     index.extend(context, context)
     return index
 
 
 def test_extend_too_short_inserts_nothing():
     index = build_index([1, 2], gamma=3)
-    assert index.buckets == {} and index.length == 2
+    assert naive_first_positions([1, 2], 3) == {}
+    assert index.first == {} and index.length == 2 and index.mix_ops == 0
 
 
 def test_extend_boundary_single_gram():
     index = build_index([1, 2, 3], gamma=3)
-    entries = [e for bucket in index.buckets.values() for e in bucket]
-    assert entries == [(1, (1, 2, 3))]
+    assert index.first == naive_first_positions([1, 2, 3], 3) == {(1, 2, 3): 1}
+    assert index.mix_ops == 3
 
 
 def test_extend_matches_naive_enumeration():
     context = [1, 2, 3, 1, 2, 3]
     index = build_index(context, gamma=3)
-    entries = sorted(e for bucket in index.buckets.values() for e in bucket)
-    assert entries == sorted(naive_gram_positions(context, 3))
-    # the repeated gram's bucket holds both positions in order
-    h = index._hash((1, 2, 3))
-    assert [p for p, _ in index.buckets[h] if _ == (1, 2, 3)] == [1, 4]
+    assert index.first == naive_first_positions(context, 3)
+    # four positions, three distinct grams: the repeat keeps its first position
+    assert index.first == {(1, 2, 3): 1, (2, 3, 1): 2, (3, 1, 2): 3}
+    assert index.mix_ops == 4 * 3  # every position's gram is read once
 
 
 def test_extend_rejects_inconsistent_suffix():
@@ -81,20 +82,32 @@ def test_randomized_oracle_equivalence():
         assert (got.source_pos if got else None) == want
 
 
-def test_weak_hash_never_returns_false_match():
-    # a constant hash throws every gram into one bucket; exact-token
-    # confirmation must still keep results identical to the naive scan
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        gamma = int(rng.integers(1, 4))
-        context = [int(x) for x in rng.integers(0, 4, size=int(rng.integers(gamma, 60)))]
-        index = build_index(context, gamma, hash_fn=lambda window: 0)
-        got = index.lookup(context)
-        want = naive_match_scan(context, gamma)
-        assert (got.source_pos if got else None) == want
+@st.composite
+def chunked_contexts(draw):
+    gamma = draw(st.integers(1, 5))
+    alphabet = draw(st.integers(1, 6))
+    context = draw(st.lists(st.integers(0, alphabet - 1), max_size=80))
+    cuts = sorted(draw(st.lists(st.integers(0, len(context)), max_size=12)))
+    return gamma, context, [0, *cuts, len(context)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(chunked_contexts())
+def test_chunked_extend_lookups_match_naive_scan(case):
+    gamma, context, bounds = case
+    index = MatchIndex(gamma=gamma)
+    for lo, hi in zip(bounds, bounds[1:]):
+        prefix = context[:hi]
+        index.extend(prefix, context[lo:hi])
+        got = index.lookup(prefix)
+        assert (got.source_pos if got else None) == naive_match_scan(prefix, gamma)
         if got is not None:
             p = got.source_pos
-            assert context[p - 1:p - 1 + gamma] == context[-gamma:]
+            assert prefix[p - 1:p - 1 + gamma] == prefix[-gamma:]
+            assert got.copy_start == p + gamma <= len(prefix)
+            assert extract_chunk(prefix, got, 1) == [prefix[got.copy_start - 1]]
+    assert index.first == naive_first_positions(context, gamma)
+    assert index.length == len(context)
 
 
 def test_incremental_equals_batch():
@@ -104,8 +117,9 @@ def test_incremental_equals_batch():
     incremental = MatchIndex(gamma=3)
     for i in range(len(context)):
         incremental.extend(context[: i + 1], [context[i]])
-    assert incremental.buckets == batch.buckets
+    assert incremental.first == batch.first == naive_first_positions(context, 3)
     assert incremental.length == batch.length
+    assert incremental.mix_ops == batch.mix_ops
 
 
 def test_mixing_work_is_context_length_independent():
