@@ -1,0 +1,65 @@
+#!/bin/sh
+# Write the output files a refactor must leave byte-identical.
+#
+#   scripts/identity_outputs.sh OUTDIR
+#
+# OUTDIR receives:
+#   run/<corpus>.<strategy>.json        `run` over the 3 shipped corpora x 4 strategies
+#   sweep/<strategy>.json, .records.jsonl
+#                                       gamma sweep 2..8 with --records-out on
+#                                       redundant_2turn, for copy and copy+specdec
+#   train/lm.json                       `train-lm` dump of redundant_2turn
+#   train/novel.copy+specdec.json       a copy+specdec run on novel_2turn with
+#                                       --model-path set to that dump
+#   cost_index/<corpus>.<strategy>.json `run --cost-index 0.5`, every corpus and strategy
+#
+# Run it in two checkouts and compare with `diff -r OUT_A OUT_B`. The
+# code comes from the checkout holding this script (its `src/`), the
+# corpora from its `data/`. Commands run from the checkout's root with
+# relative corpus paths, because metric files record the path given.
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1/run" "$1/sweep" "$1/train" "$1/cost_index"
+out=$(cd "$1" && pwd)
+cd "$root"
+
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+
+# stderr carries wall times; show it only when a command fails
+copyspec() {
+    if ! PYTHONPATH=src python3 -m copyspec.cli "$@" 2>"$log"; then
+        cat "$log" >&2
+        echo "failed: copyspec $*" >&2
+        exit 1
+    fi
+}
+
+corpora="redundant_2turn novel_2turn selfcorrect_3turn"
+strategies="baseline copy specdec copy+specdec"
+
+for corpus in $corpora; do
+    for strategy in $strategies; do
+        copyspec run --corpus "data/$corpus.jsonl" --strategy "$strategy" \
+            --out "$out/run/$corpus.$strategy.json"
+        copyspec run --corpus "data/$corpus.jsonl" --strategy "$strategy" --cost-index 0.5 \
+            --out "$out/cost_index/$corpus.$strategy.json"
+    done
+done
+
+for strategy in copy copy+specdec; do
+    copyspec sweep --corpus "data/redundant_2turn.jsonl" --strategy "$strategy" \
+        --axis gamma --values 2,3,4,5,6,7,8 \
+        --out "$out/sweep/$strategy.json" --records-out "$out/sweep/$strategy.records.jsonl"
+done
+
+copyspec train-lm --corpus "data/redundant_2turn.jsonl" --out "$out/train/lm.json"
+copyspec run --corpus "data/novel_2turn.jsonl" --strategy copy+specdec \
+    --model-path "$out/train/lm.json" --out "$out/train/novel.copy+specdec.json"
+
+echo "wrote $(find "$out" -type f | wc -l) files to $out"

@@ -156,10 +156,10 @@ def _load_corpus(path: str) -> list[Transcript]:
 def _build_models(args, transcripts):
     """Target and (if the strategy drafts) draft model, counted once.
 
-    Trained models are views at their own order of one set of counts:
-    the counts at each order do not depend on the highest order counted.
-    A loaded target may come from another corpus, so the draft is then
-    trained on this one.
+    Trained models are views at their own order of one set of counts and
+    argmax tables: neither depends on the highest order counted. A loaded
+    target may come from another corpus, so the draft is then trained on
+    this one.
     """
     wants_draft = _engine_config(args).allows_draft
     if args.model_path:
@@ -172,9 +172,9 @@ def _build_models(args, transcripts):
     vocab = Vocabulary()
     seqs = training_sequences(transcripts, vocab)
     top = max(args.target_order, args.draft_order) if wants_draft else args.target_order
-    counts = train_kgram(seqs, top, vocab_size=len(vocab)).counts
-    target = KgramLM(args.target_order, counts, len(vocab))
-    draft = KgramLM(args.draft_order, counts, len(vocab)) if wants_draft else None
+    full = train_kgram(seqs, top, vocab_size=len(vocab))
+    target = KgramLM(args.target_order, full.counts, len(vocab), full.tables)
+    draft = KgramLM(args.draft_order, full.counts, len(vocab), full.tables) if wants_draft else None
     return vocab, target, draft
 
 

@@ -145,14 +145,6 @@ class Session:
                 break
             k += 1
         bonus = EOT_ID if eot_accepted else scores[k]
-        outcome = AttemptOutcome(
-            source=source,
-            proposed=len(proposal),
-            accepted_k=k,
-            bonus=bonus,
-            hit_eot=bonus == EOT_ID,
-            index_ops=index_ops + k + 1,
-        )
         self.target.truncate(t + k)
         if self.draft is not None and self.draft.state_len > t + k:
             self.draft.truncate(t + k)
@@ -160,6 +152,15 @@ class Session:
         self.context.extend(committed)
         if self.index is not None:
             self.index.extend(self.context, committed)
+            index_ops += len(committed)  # one insert per committed token
+        outcome = AttemptOutcome(
+            source=source,
+            proposed=len(proposal),
+            accepted_k=k,
+            bonus=bonus,
+            hit_eot=bonus == EOT_ID,
+            index_ops=index_ops,
+        )
         self.log.append(outcome)
         return outcome
 
@@ -275,9 +276,8 @@ def _run_configs(job):
     """One transcript under each config, on one spawn of each model.
 
     The spawns are rolled back to the empty prefix before every config,
-    which the cache contract makes equivalent to fresh spawns; their
-    argmax memos carry over, so a config re-scores contexts an earlier
-    one reached at no extra cost. Only the per-turn metrics are kept.
+    which the cache contract makes equivalent to fresh spawns. Only the
+    per-turn metrics are kept.
     """
     transcript, vocab, target, draft, configs, cost = job
     target = target.spawn()

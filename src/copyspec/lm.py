@@ -10,17 +10,23 @@ function of the prefix: any sequence of appends and truncations that
 leaves the same prefix scores identically to a fresh model fed that
 prefix.
 
-Two implementations are provided: :class:`TableLM`, a direct lookup table
-useful as a hand-constructible oracle, and :class:`KgramLM`, a counted
-k-gram model with shortening backoff that produces realistic repetition
-when trained on redundant text.
+Every model scores from backoff tables, one per context length, mapping
+a context to its argmax; a miss at the longest context walks shorter
+ones. The tables are built once, when a model is trained or loaded, and
+spawns and views share them. :class:`TableLM` is one hand-written table,
+useful as an oracle; :class:`KgramLM` resolves its tables from counted
+k-grams, which repeat realistically when trained on redundant text.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
+
+Tables = list[dict[tuple[int, ...], int] | None]
 
 
 class InvalidToken(ValueError):
@@ -32,12 +38,21 @@ class TruncateBeyondState(ValueError):
 
 
 class LangModel:
-    """Base class implementing the cache contract; subclasses supply argmax."""
+    """The cache contract, scored from backoff argmax tables.
 
-    def __init__(self, vocab_size: int):
+    ``tables[o]`` maps a length-o context to the argmax after it (None: no
+    table at o); a prefix with no entry at any order predicts ``fallback``.
+    """
+
+    def __init__(self, vocab_size: int, tables: Tables, fallback: int = 0):
         if vocab_size < 1:
             raise ValueError("vocab_size must be positive")
+        if len(tables) < 2:
+            raise ValueError("order must be positive")
         self.vocab_size = vocab_size
+        self.tables = tables
+        self.order = len(tables) - 1
+        self.fallback = fallback
         self._state: list[int] = []
         self.blocks_scored = 0
         self.tokens_scored = 0
@@ -49,9 +64,6 @@ class LangModel:
     @property
     def state(self) -> tuple[int, ...]:
         return tuple(self._state)
-
-    def _argmax_after(self, prefix: list[int]) -> int:
-        raise NotImplementedError
 
     def score_block(self, block: Sequence[int]) -> list[int]:
         """Append the block; return the argmax after each block position.
@@ -65,13 +77,29 @@ class LangModel:
         for tok in block:
             if not 0 <= tok < self.vocab_size:
                 raise InvalidToken(f"token {tok} outside vocab of size {self.vocab_size}")
+        state = self._state
+        order = self.order
+        top = self.tables[order].get
         out = []
         for tok in block:
-            self._state.append(tok)
-            out.append(self._argmax_after(self._state))
+            state.append(tok)
+            # a prefix shorter than order gives a short key, never in the top table
+            nxt = top(tuple(state[-order:]))
+            out.append(self._backoff(state) if nxt is None else nxt)
         self.blocks_scored += 1
         self.tokens_scored += len(block)
         return out
+
+    def _backoff(self, state: list[int]) -> int:
+        """The argmax at the longest context below ``order`` that has an entry."""
+        n = len(state)
+        for o in range(min(self.order - 1, n), -1, -1):
+            table = self.tables[o]
+            if table:
+                nxt = table.get(tuple(state[n - o:]))
+                if nxt is not None:
+                    return nxt
+        return self.fallback
 
     def truncate(self, keep_len: int) -> None:
         """Roll the cache back to its first ``keep_len`` tokens."""
@@ -101,82 +129,58 @@ def greedy_extend(model: LangModel, feed: Sequence[int], n: int) -> list[int]:
 
 
 class TableLM(LangModel):
-    """Argmax is a direct table read on the last ``order`` cached tokens.
-
-    Prefixes shorter than ``order`` (and unlisted keys) fall back to a
-    fixed token, making the model total and fully deterministic.
-    """
+    """One table read on the last ``order`` cached tokens; shorter prefixes
+    and unlisted keys predict ``fallback``, so the model is total."""
 
     def __init__(self, vocab_size: int, order: int, table: dict[tuple[int, ...], int], fallback: int = 0):
-        super().__init__(vocab_size)
-        if order < 1:
-            raise ValueError("order must be positive")
-        self.order = order
-        self.table = table
-        self.fallback = fallback
-
-    def _argmax_after(self, prefix: list[int]) -> int:
-        if len(prefix) < self.order:
-            return self.fallback
-        return self.table.get(tuple(prefix[-self.order:]), self.fallback)
+        super().__init__(vocab_size, [None] * order + [table], fallback)
 
     def spawn(self) -> "TableLM":
-        return TableLM(self.vocab_size, self.order, self.table, self.fallback)
+        return TableLM(self.vocab_size, self.order, self.tables[-1], self.fallback)
+
+
+def _argmax_tables(counts: dict[int, Counter], order: int) -> Tables:
+    """Per context length 0..order, each context's most counted next token
+    (the smallest id on ties), in one pass over the distinct grams."""
+    tables: Tables = []
+    for o in range(order + 1):
+        table: dict[tuple[int, ...], int] = {}
+        best: dict[tuple[int, ...], int] = {}
+        for gram, c in counts.get(o, {}).items():
+            ctx, tok = gram[:-1], gram[-1]
+            b = best.get(ctx)
+            if b is None or c > b or (c == b and tok < table[ctx]):
+                best[ctx] = c
+                table[ctx] = tok
+        tables.append(table)
+    return tables
 
 
 class KgramLM(LangModel):
     """Counted k-gram model with shortening backoff.
 
-    ``counts[o]`` maps each length-o context tuple to a histogram of next
-    tokens. Prediction tries the longest usable context and backs off one
-    token at a time until a histogram exists (the empty context always
-    does once trained). Ties in a histogram resolve to the smallest token
-    id, so argmax is deterministic.
+    ``counts[o]`` counts each (context, next) gram of length o + 1. The
+    argmax tables are resolved from them unless given: a view at a lower
+    order shares its source's, since a context's argmax does not depend
+    on the highest order counted. An untrained model predicts 0 (end of
+    text).
     """
 
-    def __init__(self, order: int, counts: dict[int, dict[tuple[int, ...], dict[int, int]]], vocab_size: int):
-        super().__init__(vocab_size)
-        if order < 1:
-            raise ValueError("order must be positive")
-        self.order = order
+    def __init__(self, order: int, counts: dict[int, Counter], vocab_size: int, tables: Tables | None = None):
+        if tables is None:
+            tables = _argmax_tables(counts, order)
+        super().__init__(vocab_size, tables[:order + 1])
         self.counts = counts
-        self._best: dict[tuple[int, ...], int] = {}
-
-    def _context_histogram(self, prefix: list[int]) -> dict[int, int]:
-        for o in range(min(self.order, len(prefix)), -1, -1):
-            ctx = tuple(prefix[len(prefix) - o:])
-            hist = self.counts.get(o, {}).get(ctx)
-            if hist:
-                return hist
-        return {0: 1}  # untrained model: end of text
-
-    def _argmax_after(self, prefix: list[int]) -> int:
-        ctx = tuple(prefix[-self.order:]) if len(prefix) >= self.order else tuple(prefix)
-        cached = self._best.get(ctx)
-        if cached is not None:
-            return cached
-        hist = self._context_histogram(prefix)
-        best = max(hist.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        self._best[ctx] = best
-        return best
-
-    def distribution(self, prefix: Sequence[int]) -> dict[int, float]:
-        """Normalized next-token probabilities at the matched backoff order."""
-        hist = self._context_histogram(list(prefix))
-        total = sum(hist.values())
-        return {tok: c / total for tok, c in hist.items()}
 
     def spawn(self) -> "KgramLM":
-        return KgramLM(self.order, self.counts, self.vocab_size)
+        return KgramLM(self.order, self.counts, self.vocab_size, self.tables)
 
     def to_dict(self) -> dict:
         """Versioned, order-stable dump of the trained counts."""
         orders = []
         for o in sorted(self.counts):
-            contexts = []
-            for ctx in sorted(self.counts[o]):
-                hist = self.counts[o][ctx]
-                contexts.append([list(ctx), sorted(hist.items())])
+            grams = groupby(sorted(self.counts[o].items()), key=lambda kv: kv[0][:-1])
+            contexts = [[list(ctx), [[gram[-1], c] for gram, c in hist]] for ctx, hist in grams]
             orders.append([o, contexts])
         return {
             "format": "copyspec-kgram",
@@ -190,11 +194,10 @@ class KgramLM(LangModel):
     def from_dict(cls, obj: dict) -> "KgramLM":
         if obj.get("format") != "copyspec-kgram" or obj.get("version") != 1:
             raise ValueError("not a copyspec-kgram v1 dump")
-        counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
-        for o, contexts in obj["counts"]:
-            counts[int(o)] = {
-                tuple(ctx): {int(tok): int(c) for tok, c in hist} for ctx, hist in contexts
-            }
+        counts = {
+            int(o): Counter({(*ctx, int(tok)): int(c) for ctx, hist in contexts for tok, c in hist})
+            for o, contexts in obj["counts"]
+        }
         return cls(order=int(obj["order"]), counts=counts, vocab_size=int(obj["vocab_size"]))
 
     def save(self, path: str | Path, vocab_symbols: Sequence[str] | None = None) -> None:
@@ -210,7 +213,7 @@ class KgramLM(LangModel):
 
 
 def train_kgram(corpus: Sequence[Sequence[int]], k: int, vocab_size: int | None = None) -> KgramLM:
-    """Count every (context, next) pair at orders 0..k over the corpus.
+    """Count every (context, next) gram at orders 0..k over the corpus.
 
     All backoff orders are counted so prediction is defined for short
     prefixes. ``vocab_size`` defaults to one past the largest id seen.
@@ -219,15 +222,10 @@ def train_kgram(corpus: Sequence[Sequence[int]], k: int, vocab_size: int | None 
         raise ValueError("corpus must be non-empty")
     if k < 1:
         raise ValueError("order must be positive")
-    counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {o: {} for o in range(k + 1)}
-    max_id = 0
+    counts = {o: Counter() for o in range(k + 1)}
     for seq in corpus:
-        for j, nxt in enumerate(seq):
-            max_id = max(max_id, nxt)
-            for o in range(min(k, j) + 1):
-                ctx = tuple(seq[j - o:j])
-                hist = counts[o].setdefault(ctx, {})
-                hist[nxt] = hist.get(nxt, 0) + 1
+        for o, grams in counts.items():
+            grams.update(zip(*(seq[i:] for i in range(o + 1))))
     if vocab_size is None:
-        vocab_size = max_id + 1
+        vocab_size = max((max(seq) for seq in corpus if seq), default=0) + 1
     return KgramLM(order=k, counts=counts, vocab_size=vocab_size)

@@ -41,6 +41,23 @@ def naive_first_positions(context, gamma):
     return {gram: min(q for q, other in pairs if other == gram) for _, gram in pairs}
 
 
+def naive_kgram_argmax(corpus, k, prefix):
+    """Argmax after ``prefix`` of an order-k backoff model of ``corpus``.
+
+    Scans every corpus position at each context length from
+    min(k, len(prefix)) down to 0 and stops at the first length whose
+    context is followed somewhere; the most frequent follower wins, the
+    smallest id on ties. A corpus without tokens predicts 0.
+    """
+    prefix = list(prefix)
+    for o in range(min(k, len(prefix)), -1, -1):
+        ctx = prefix[len(prefix) - o:]
+        followers = [seq[j] for seq in corpus for j in range(o, len(seq)) if list(seq[j - o:j]) == ctx]
+        if followers:
+            return min(set(followers), key=lambda tok: (-followers.count(tok), tok))
+    return 0
+
+
 def fresh_argmax(model: LangModel, prefix):
     """Next-token argmax of a fresh clone fed exactly ``prefix`` (non-empty)."""
     return model.spawn().score_block(list(prefix))[-1]

@@ -14,6 +14,7 @@ from copyspec.engine import (
 )
 from copyspec.lm import TableLM
 from copyspec.match_index import MatchIndex
+from copyspec.metrics import CostModel, score_log
 
 from oracles import fresh_argmax, greedy_reference, random_kgram_lm, random_table_lm
 
@@ -263,6 +264,10 @@ def test_non_copy_strategies_never_touch_the_index(redundant_setup, monkeypatch)
             assert calls == {"extend": 0, "lookup": 0}, strategy
             context: list[int] = []
             for turn, result in zip(transcript.user_turns(), results):
+                # no index, so no index work is charged at any index cost
+                assert all(o.index_ops == 0 for o in result.outcomes)
+                costly = score_log(result.outcomes, CostModel(index_op_cost=0.5))
+                assert costly.sim_time == score_log(result.outcomes, CostModel()).sim_time
                 context += turn_prefix_tokens(turn.text, vocab, grow=False)
                 assert result.output == greedy_reference(target, context, budget)
                 context += result.output

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,7 @@ from copyspec.lm import (
     train_kgram,
 )
 
-from oracles import fresh_argmax, random_kgram_lm, random_table_lm
+from oracles import fresh_argmax, naive_kgram_argmax, random_kgram_lm, random_table_lm
 
 
 def next_argmax(model):
@@ -75,15 +78,17 @@ def test_truncate_then_append_matches_fresh_model():
     model.score_block([1, 2, 3, 4])
     model.truncate(2)
     assert model.score_block([9]) == [fresh_argmax(model, [1, 2, 9])]
-    hist = model.distribution([1, 2, 9])
-    assert hist == model.spawn().distribution([1, 2, 9])
 
 
 def test_train_kgram_hand_counts():
     model = train_kgram([[1, 2, 1, 2, 1]], k=1)
     model.score_block([1])
     assert next_argmax(model) == 2
-    assert model.distribution([1]) == {2: 1.0}
+    assert model.counts[1] == {(1, 2): 2, (2, 1): 2}
+    # after 1: 2 twice, 3 once
+    model = train_kgram([[1, 2, 1, 3, 1, 2, 0]], k=1)
+    assert {gram: c for gram, c in model.counts[1].items() if gram[0] == 1} == {(1, 2): 2, (1, 3): 1}
+    assert model.spawn().score_block([1]) == [2]
 
 
 def test_train_kgram_backoff_single_symbol():
@@ -106,13 +111,6 @@ def test_tie_break_smallest_id():
     # after 1: counts {5:1, 3:2, 4:2} -> tie between 3 and 4 at count 2
     model.score_block([1])
     assert next_argmax(model) == 3
-
-
-def test_distribution_normalizes():
-    model = train_kgram([[1, 2, 1, 3, 1, 2, 0]], k=1)
-    dist = model.distribution([1])
-    assert abs(sum(dist.values()) - 1.0) < 1e-12
-    assert dist[2] == pytest.approx(2 / 3)
 
 
 def test_score_block_length_and_validation():
@@ -182,3 +180,34 @@ def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, or
     for seq in corpus + probes:
         view.truncate(0)
         assert view.score_block(seq) == alone.spawn().score_block(seq)
+
+
+@st.composite
+def small_vocab_corpus(draw):
+    """A vocabulary of 3-5 ids, so count ties occur, with a corpus and probes over it."""
+    vocab = draw(st.integers(3, 5))
+    tokens = st.integers(0, vocab - 1)
+    corpus = draw(st.lists(st.lists(tokens, max_size=20), min_size=1, max_size=4))
+    probes = draw(st.lists(st.lists(tokens, min_size=1, max_size=10), max_size=3))
+    return vocab, corpus, probes
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=small_vocab_corpus(), order=st.integers(1, 5), extra=st.integers(0, 3))
+def test_kgram_argmax_matches_naive_scan(case, order, extra):
+    # trained at ``order``, a view at ``order`` of counts and tables taken
+    # at order + extra, and a saved and reloaded model all score every
+    # prefix as a naive scan of the corpus does
+    vocab, corpus, probes = case
+    trained = train_kgram(corpus, order, vocab_size=vocab)
+    full = train_kgram(corpus, order + extra, vocab_size=vocab)
+    view = KgramLM(order, full.counts, vocab, full.tables)
+    with tempfile.TemporaryDirectory() as tmp:
+        trained.save(Path(tmp) / "model.json")
+        loaded, _ = KgramLM.load(Path(tmp) / "model.json")
+    models = [m.spawn() for m in (trained, view, loaded)]
+    for seq in [s for s in corpus if s] + probes:
+        expected = [naive_kgram_argmax(corpus, order, seq[:i + 1]) for i in range(len(seq))]
+        for model in models:
+            model.truncate(0)
+            assert model.score_block(seq) == expected
