@@ -16,6 +16,10 @@ with the proposal, so every attempt makes exactly one target pass, as
 the cost model charges. The draft catches up on the context it has not
 seen in the first call of its next proposal.
 
+Each attempt appends its committed tokens to the context in place and
+extends the index (when copying) once over them; its record,
+:class:`AttemptOutcome`, is a slotted dataclass.
+
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
 """
@@ -70,7 +74,7 @@ class EngineConfig:
         return self.strategy in ("specdec", "copy_plus_specdec")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttemptOutcome:
     """Result of one verification attempt.
 
@@ -118,7 +122,7 @@ class Session:
             return
         self.context.extend(tokens)
         if self.index is not None:
-            self.index.extend(self.context, tokens)
+            self.index.extend(self.context)
         for model in (self.target, self.draft):
             if model is not None and model.state_len < len(self.context) - 1:
                 model.score_block(self.context[model.state_len:-1])
@@ -132,35 +136,30 @@ class Session:
         accepted; an empty proposal is a plain step. The committed bonus
         stays pending in both caches.
         """
-        t = len(self.context)
-        block = self.context[self.target.state_len:] + proposal
-        scores = self.target.score_block(block)[-(len(proposal) + 1):]
+        context = self.context
+        target = self.target
+        t = len(context)
+        n = len(proposal)
+        scores = target.score_block(context[target.state_len:] + proposal)
+        off = len(scores) - n - 1  # scores[off + i] is the target's argmax at proposal[i]
         k = 0
-        eot_accepted = False
-        for tok, argmax in zip(proposal, scores):
-            if tok != argmax:
-                break
-            if tok == EOT_ID:
-                eot_accepted = True  # accepted end-of-text becomes the bonus
+        for tok in proposal:
+            # an accepted end-of-text stops here and becomes the bonus
+            if tok != scores[off + k] or tok == EOT_ID:
                 break
             k += 1
-        bonus = EOT_ID if eot_accepted else scores[k]
-        self.target.truncate(t + k)
-        if self.draft is not None and self.draft.state_len > t + k:
-            self.draft.truncate(t + k)
-        committed = proposal[:k] + [bonus]
-        self.context.extend(committed)
+        bonus = scores[off + k]
+        keep = t + k
+        target.truncate(keep)
+        draft = self.draft
+        if draft is not None and draft.state_len > keep:
+            draft.truncate(keep)
+        context += proposal[:k]
+        context.append(bonus)
         if self.index is not None:
-            self.index.extend(self.context, committed)
-            index_ops += len(committed)  # one insert per committed token
-        outcome = AttemptOutcome(
-            source=source,
-            proposed=len(proposal),
-            accepted_k=k,
-            bonus=bonus,
-            hit_eot=bonus == EOT_ID,
-            index_ops=index_ops,
-        )
+            self.index.extend(context)
+            index_ops += k + 1  # one insert per committed token
+        outcome = AttemptOutcome(source, n, k, bonus, bonus == EOT_ID, index_ops)
         self.log.append(outcome)
         return outcome
 

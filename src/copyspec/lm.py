@@ -8,7 +8,9 @@ the last entry predicts the token that follows the whole block.
 ``truncate`` rolls the cache back to a shorter prefix. Scoring is a pure
 function of the prefix: any sequence of appends and truncations that
 leaves the same prefix scores identically to a fresh model fed that
-prefix.
+prefix. Each token's range is checked as it is scored; a block holding a
+token outside the vocabulary is undone and rejected, leaving the cache
+and the counters as they were.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
@@ -70,18 +72,22 @@ class LangModel:
 
         Entry i is the argmax given (cached prefix + block[:i+1]), so the
         last entry is the token that follows the whole block. One call
-        models a single parallel forward pass over the whole block.
+        models a single parallel forward pass over the whole block. A
+        token outside the vocabulary raises :class:`InvalidToken` after
+        the tokens appended before it are deleted again.
         """
         if not block:
             raise ValueError("block must be non-empty")
-        for tok in block:
-            if not 0 <= tok < self.vocab_size:
-                raise InvalidToken(f"token {tok} outside vocab of size {self.vocab_size}")
         state = self._state
+        start = len(state)
+        vocab_size = self.vocab_size
         order = self.order
         top = self.tables[order].get
         out = []
         for tok in block:
+            if not 0 <= tok < vocab_size:
+                del state[start:]  # undo the block: the cache stays as it was
+                raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
             state.append(tok)
             # a prefix shorter than order gives a short key, never in the top table
             nxt = top(tuple(state[-order:]))
@@ -176,9 +182,13 @@ class KgramLM(LangModel):
         return KgramLM(self.order, self.counts, self.vocab_size, self.tables)
 
     def to_dict(self) -> dict:
-        """Versioned, order-stable dump of the trained counts."""
+        """Versioned, order-stable dump of the counts at orders 0..order.
+
+        A view at a lower order of shared counts dumps what training at
+        that order alone would.
+        """
         orders = []
-        for o in sorted(self.counts):
+        for o in sorted(o for o in self.counts if o <= self.order):
             grams = groupby(sorted(self.counts[o].items()), key=lambda kv: kv[0][:-1])
             contexts = [[list(ctx), [[gram[-1], c] for gram, c in hist]] for ctx, hist in grams]
             orders.append([o, contexts])

@@ -4,9 +4,11 @@ Each distinct gram maps to the position of its first occurrence, so
 insert and lookup are one dict operation on the gram's token tuple; the
 dict compares the stored tuple with the query, so a match is always
 exact. The earliest occurrence is the only one a lookup needs: if it
-overlaps the current suffix, every later one does too. Positions are
-1-based throughout this module: the gram starting at position q covers
-context[q .. q+gamma-1] inclusive.
+overlaps the current suffix, every later one does too. The index only
+grows: ``extend`` is handed the whole context and reads the part past
+what it has already indexed. Positions are 1-based throughout this
+module: the gram starting at position q covers context[q .. q+gamma-1]
+inclusive.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class MatchIndex:
     """First 1-based position of every distinct gram, keyed by its tokens.
 
     ``length`` tracks how many context tokens have been indexed; callers
-    must extend the index with exactly the tokens they append to the
-    context. ``mix_ops`` counts gamma per gram read by ``extend`` or
-    ``lookup``, the work of reading one gram.
+    only ever append to the context they pass to ``extend``. ``mix_ops``
+    counts gamma per gram read by ``extend`` or ``lookup``, the work of
+    reading one gram.
     """
 
     def __init__(self, gamma: int = 3):
@@ -50,23 +52,18 @@ class MatchIndex:
         self.mix_ops = 0
         self.lookups = 0
 
-    def extend(self, context: Sequence[int], new_tokens: Sequence[int]) -> None:
-        """Index every gamma-gram ending inside the newly appended region.
+    def extend(self, context: Sequence[int]) -> None:
+        """Index every gamma-gram ending in ``context`` past the indexed prefix.
 
-        ``context`` is the full accepted sequence and ``new_tokens`` its
-        just-appended suffix. Each gram is read exactly once, so the cost
-        is O(gamma) per appended token whatever the context length.
+        ``context`` is the full accepted sequence; its first ``length``
+        tokens must be the ones already indexed. Each gram is read exactly
+        once, so the cost is O(gamma) per appended token whatever the
+        context length.
         """
-        n_new = len(new_tokens)
-        if self.length + n_new != len(context):
-            raise ValueError(
-                f"index covers {self.length} tokens; appending {n_new} "
-                f"does not reach context length {len(context)}"
-            )
-        if list(context[len(context) - n_new:]) != list(new_tokens):
-            raise ValueError("new_tokens is not the suffix of context")
-        g = self.gamma
         t = len(context)
+        if t < self.length:
+            raise ValueError(f"index covers {self.length} tokens; context has only {t}")
+        g = self.gamma
         first_start = max(1, self.length - g + 2)  # 1-based start of the first new gram
         setdefault = self.first.setdefault
         for start in range(first_start, t - g + 2):

@@ -103,7 +103,7 @@ def test_criterion_02_index_oracle_equivalence():
         length = int(rng.integers(gamma, 201))
         context = [int(x) for x in rng.integers(0, int(rng.integers(2, 9)), size=length)]
         index = MatchIndex(gamma=gamma)
-        index.extend(context, context)
+        index.extend(context)
         got = index.lookup(context)
         want = naive_match_scan(context, gamma)
         assert (got.source_pos if got else None) == want

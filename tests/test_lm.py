@@ -124,6 +124,25 @@ def test_score_block_length_and_validation():
         model.score_block([-1])
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        train_kgram([[1, 2, 3, 1, 2, 0]], k=2, vocab_size=6),
+        TableLM(vocab_size=6, order=2, table={(1, 2): 3}, fallback=1),
+    ],
+    ids=["kgram", "table"],
+)
+def test_rejected_block_changes_nothing(model):
+    model.score_block([1, 2])
+    model.score_block([3])
+    before = (model.state, model.blocks_scored, model.tokens_scored)
+    with pytest.raises(InvalidToken):
+        model.score_block([1, 99, 2])
+    assert (model.state, model.blocks_scored, model.tokens_scored) == before
+    # later scoring continues from the prefix before the rejected block
+    assert model.score_block([1, 2]) == [fresh_argmax(model, [1, 2, 3, 1]), fresh_argmax(model, [1, 2, 3, 1, 2])]
+
+
 def test_counters():
     model = TableLM(vocab_size=5, order=1, table={}, fallback=2)
     model.score_block([1, 2])
@@ -180,6 +199,14 @@ def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, or
     for seq in corpus + probes:
         view.truncate(0)
         assert view.score_block(seq) == alone.spawn().score_block(seq)
+
+
+def test_view_dumps_only_its_own_orders():
+    seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
+    full = train_kgram(seqs, 4, vocab_size=4)
+    view = KgramLM(2, full.counts, 4, full.tables)
+    assert view.to_dict() == train_kgram(seqs, 2, vocab_size=4).to_dict()
+    assert [o for o, _ in view.to_dict()["counts"]] == [0, 1, 2]
 
 
 @st.composite

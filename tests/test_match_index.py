@@ -9,7 +9,7 @@ from oracles import naive_first_positions, naive_match_scan
 
 def build_index(context, gamma):
     index = MatchIndex(gamma=gamma)
-    index.extend(context, context)
+    index.extend(context)
     return index
 
 
@@ -34,13 +34,19 @@ def test_extend_matches_naive_enumeration():
     assert index.mix_ops == 4 * 3  # every position's gram is read once
 
 
-def test_extend_rejects_inconsistent_suffix():
-    index = MatchIndex(gamma=2)
-    index.extend([1, 2], [1, 2])
+def test_extend_rejects_shorter_context():
+    index = build_index([1, 2, 3], gamma=2)
     with pytest.raises(ValueError):
-        index.extend([1, 2, 3], [9])
-    with pytest.raises(ValueError):
-        index.extend([1, 2, 3, 4], [4])
+        index.extend([1, 2])
+    assert index.length == 3 and index.first == naive_first_positions([1, 2, 3], 2)
+
+
+def test_extend_with_the_same_context_is_a_no_op():
+    context = [1, 2, 3, 1, 2]
+    index = build_index(context, gamma=2)
+    first, mix_ops = dict(index.first), index.mix_ops
+    index.extend(context)
+    assert index.first == first and index.mix_ops == mix_ops and index.length == len(context)
 
 
 def test_lookup_earliest_nonoverlapping():
@@ -96,9 +102,9 @@ def chunked_contexts(draw):
 def test_chunked_extend_lookups_match_naive_scan(case):
     gamma, context, bounds = case
     index = MatchIndex(gamma=gamma)
-    for lo, hi in zip(bounds, bounds[1:]):
+    for hi in bounds[1:]:
         prefix = context[:hi]
-        index.extend(prefix, context[lo:hi])
+        index.extend(prefix)
         got = index.lookup(prefix)
         assert (got.source_pos if got else None) == naive_match_scan(prefix, gamma)
         if got is not None:
@@ -116,7 +122,7 @@ def test_incremental_equals_batch():
     batch = build_index(context, gamma=3)
     incremental = MatchIndex(gamma=3)
     for i in range(len(context)):
-        incremental.extend(context[: i + 1], [context[i]])
+        incremental.extend(context[: i + 1])
     assert incremental.first == batch.first == naive_first_positions(context, 3)
     assert incremental.length == batch.length
     assert incremental.mix_ops == batch.mix_ops
@@ -126,8 +132,8 @@ def test_mixing_work_is_context_length_independent():
     short = build_index(list(range(10)), gamma=3)
     long = build_index(list(range(5000)), gamma=3)
     before_short, before_long = short.mix_ops, long.mix_ops
-    short.extend(list(range(10)) + [1], [1])
-    long.extend(list(range(5000)) + [1], [1])
+    short.extend(list(range(10)) + [1])
+    long.extend(list(range(5000)) + [1])
     added_short = short.mix_ops - before_short
     added_long = long.mix_ops - before_long
     assert added_short == added_long == 3  # one gram hashed, gamma mixes
