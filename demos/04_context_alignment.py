@@ -11,7 +11,8 @@ match window before running generation sweeps.
 
 from pathlib import Path
 
-from copyspec import Vocabulary, cs_profile, permutation_baseline, train_left_skipgram
+from copyspec import Vocabulary
+from copyspec.analysis import cs_profile, permutation_baseline, train_left_skipgram
 from copyspec.corpus import load_transcripts, training_sequences
 
 DATA = Path(__file__).resolve().parent.parent / "data"

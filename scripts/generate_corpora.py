@@ -8,7 +8,8 @@ checked-in files byte for byte (verified by tests/test_synthetic.py).
 import argparse
 from pathlib import Path
 
-from copyspec.synthetic import CORPUS_SEED, file_fingerprint, write_corpora
+from copyspec.corpus import file_fingerprint
+from copyspec.synthetic import CORPUS_SEED, write_corpora
 
 
 def main() -> int:

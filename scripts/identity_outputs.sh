@@ -15,8 +15,10 @@
 #
 # Run it in two checkouts and compare with `diff -r OUT_A OUT_B`. The
 # code comes from the checkout holding this script (its `src/`), the
-# corpora from its `data/`. Commands run from the checkout's root with
-# relative corpus paths, because metric files record the path given.
+# corpora from its `data/`. Commands run from the checkout's root, where
+# the relative corpus paths below resolve. Metric files name the corpus
+# by its fingerprint, not its path, so where a checkout lives does not
+# change them.
 set -eu
 
 if [ $# -ne 1 ]; then

@@ -1,10 +1,10 @@
-"""Hyperparameter studies: gamma sweep, chunk-length sweep, and the
-left-context embedding alignment study.
+"""The left-context embedding alignment study (the gamma and chunk-length
+sweeps are :func:`copyspec.engine.sweep`).
 
-The embedding study trains a skip-gram variant whose context is only the
-last gamma tokens: it maximizes the product over the corpus of
-P(token | mean embedding of the preceding gamma tokens) with a full
-softmax (vocabularies here are tiny). Cosine similarity between the mean
+It trains a skip-gram variant whose context is only the last gamma
+tokens: it maximizes the product over the corpus of P(token | mean
+embedding of the preceding gamma tokens) with a full softmax
+(vocabularies here are tiny). Cosine similarity between the mean
 context vector and the next token's vector then measures how much
 predictive signal a length-gamma left context carries, which is the
 quantity that makes a gamma value good or bad for copy detection.
@@ -12,14 +12,9 @@ quantity that makes a gamma value good or bad for copy detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .corpus import Transcript, Vocabulary
-from .engine import EngineConfig, run_corpus
-from .lm import LangModel
-from .metrics import CostModel, RunMetrics, aggregate
 
 
 class VocabTooLarge(ValueError):
@@ -28,63 +23,6 @@ class VocabTooLarge(ValueError):
 
 class ZeroVector(ValueError):
     """Cosine similarity is undefined for a zero vector."""
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str  # "gamma" | "chunk_len"
-    points: list[tuple[int, RunMetrics, int]]  # (value, pooled metrics, copy attempts)
-    runs: list = field(default_factory=list, repr=False)  # run_corpus output, one run per value
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "points": [
-                {"value": v, "metrics": m.to_dict(), "copy_attempts": a} for v, m, a in self.points
-            ],
-        }
-
-    def long_rows(self) -> list[tuple[int, str, float]]:
-        """Plot-ready (value, metric, number) rows."""
-        rows: list[tuple[int, str, float]] = []
-        for v, m, attempts in self.points:
-            for name, num in m.to_dict().items():
-                rows.append((v, name, float(num)))
-            rows.append((v, "copy_attempts_total", float(attempts)))
-        return rows
-
-
-def sweep(
-    corpus: list[Transcript],
-    vocab: Vocabulary,
-    target: LangModel,
-    draft: LangModel | None,
-    base_config: EngineConfig,
-    axis: str,
-    values: list[int],
-    cost: CostModel | None = None,
-    jobs: int = 1,
-) -> SweepResult:
-    """Run the whole corpus once per value of ``axis``, all else fixed.
-
-    The models are spawned once per transcript and truncated to the empty
-    prefix between values, so results are identical to independent runs.
-    Each point pools its turns in corpus order; ``runs`` keeps the
-    per-transcript metrics behind the points.
-    """
-    if axis not in ("gamma", "chunk_len"):
-        raise ValueError(f"axis must be 'gamma' or 'chunk_len', got {axis!r}")
-    if not values:
-        raise ValueError("values must be non-empty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("values must be strictly increasing")
-    configs = [replace(base_config, **{axis: value}) for value in values]
-    runs = run_corpus(corpus, vocab, target, draft, configs, cost, jobs)
-    points = []
-    for i, value in enumerate(values):
-        pooled = aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])
-        points.append((value, pooled, pooled.copy_attempts))
-    return SweepResult(axis=axis, points=points, runs=runs)
 
 
 @dataclass

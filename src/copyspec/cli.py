@@ -1,9 +1,12 @@
 """Command-line surface: run, sweep, train-lm, skipgram, report.
 
-Every command is deterministic given (corpus, flags, seed): output files
-carry no timestamps or wall-clock fields, records are sorted by
-transcript id regardless of worker scheduling, and files are written
-atomically. Wall-clock duration is logged to stderr only.
+Every command is deterministic given the corpus bytes and the flags
+(``skipgram`` also takes a seed): output files carry no timestamps,
+wall-clock fields or the corpus path, records are sorted by transcript
+id regardless of worker scheduling, and files are written atomically.
+Wall-clock duration is logged to stderr only. Only ``skipgram`` imports
+the numpy-based :mod:`copyspec.analysis`, so ``run`` and ``sweep`` load
+just the engine path.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import cs_study, sweep
-from .corpus import Transcript, Vocabulary, load_transcripts, training_sequences
-from .engine import EngineConfig, run_corpus
+from .corpus import Transcript, Vocabulary, file_fingerprint, load_transcripts, training_sequences
+from .engine import EngineConfig, run_corpus, sweep
 from .lm import KgramLM, train_kgram
 from .metrics import (
     CostModel,
@@ -27,7 +29,6 @@ from .metrics import (
     records_to_csv,
     records_to_json,
 )
-from .synthetic import file_fingerprint
 
 DEFAULT_SEED = 1729
 
@@ -41,10 +42,6 @@ STRATEGY_FLAGS = {
 
 class MissingBaseline(RuntimeError):
     """Speedup was requested but no baseline-strategy metrics file is present."""
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("COPYSPEC_SEED", DEFAULT_SEED))
 
 
 def _positive(kind=int):
@@ -108,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target-order", type=_positive(), default=4, help="target k-gram order (default 4)")
         p.add_argument("--draft-order", type=_positive(), default=2, help="draft k-gram order (default 2)")
         p.add_argument("--model-path", default=None, help="load the target model from a dump instead of training")
-        p.add_argument("--seed", type=int, default=None, help=f"run seed (default {DEFAULT_SEED}; env COPYSPEC_SEED overrides)")
         p.add_argument("--jobs", type=_positive(), default=1, help="transcript-level worker processes")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -135,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_skip.add_argument("--dim", type=_positive(), default=16)
     p_skip.add_argument("--epochs", type=_positive(), default=10)
     p_skip.add_argument("--lr", type=_nonnegative_float, default=0.1)
-    p_skip.add_argument("--seed", type=int, default=None)
+    p_skip.add_argument("--seed", type=int, default=None, help=f"training seed (default {DEFAULT_SEED}; env COPYSPEC_SEED overrides)")
     p_skip.add_argument("--out", default=None)
 
     p_report = sub.add_parser("report", help="tabulate metric files; speedups are against the baseline file")
@@ -198,7 +194,6 @@ def _cost_model(args) -> CostModel:
 
 
 def _config_echo(args, extra=None) -> dict:
-    seed = args.seed if args.seed is not None else _default_seed()
     echo = {
         "strategy": args.strategy,
         "gamma": args.gamma,
@@ -211,8 +206,6 @@ def _config_echo(args, extra=None) -> dict:
         "cost_index": args.cost_index,
         "target_order": args.target_order,
         "draft_order": args.draft_order,
-        "seed": seed,
-        "corpus": str(args.corpus),
         "corpus_fingerprint": file_fingerprint(args.corpus),
     }
     echo.update(extra or {})
@@ -224,16 +217,21 @@ def _by_id(runs):
     return sorted(runs, key=lambda item: item[0])
 
 
+def _write(args, text: str) -> None:
+    """Write ``text`` to ``--out`` if given, else to stdout."""
+    if args.out:
+        atomic_write_text(args.out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, payload: dict, records: list[dict]) -> None:
     if args.format == "json":
         text = records_to_json(payload)
     else:
         text = records_to_csv(records)
         print(json.dumps({"aggregate": payload["aggregate"]}, sort_keys=True))
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def cmd_run(args) -> int:
@@ -298,10 +296,7 @@ def cmd_sweep(args) -> int:
         rows = ["value,metric,number"]
         rows += [f"{v},{name},{num!r}" for v, name, num in result.long_rows()]
         text = "\n".join(rows) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     print(f"sweep: {len(args.values)} points in {time.monotonic() - t0:.1f}s wall", file=sys.stderr)
     return 0
 
@@ -317,14 +312,15 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_skipgram(args) -> int:
+    from .analysis import cs_study  # the one command that needs numpy
+
     transcripts = _load_corpus(args.corpus)
     vocab = Vocabulary()
     seqs = training_sequences(transcripts, vocab)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else int(os.environ.get("COPYSPEC_SEED", DEFAULT_SEED))
     points = cs_study(seqs, args.gammas, dim=args.dim, epochs=args.epochs, learning_rate=args.lr, seed=seed)
     payload = {
         "config": {
-            "corpus": str(args.corpus),
             "corpus_fingerprint": file_fingerprint(args.corpus),
             "gammas": args.gammas,
             "dim": args.dim,
@@ -334,11 +330,7 @@ def cmd_skipgram(args) -> int:
         },
         "points": [{"gamma": g, "mean_cs": cs} for g, cs in points],
     }
-    text = records_to_json(payload)
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args, records_to_json(payload))
     return 0
 
 

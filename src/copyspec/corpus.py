@@ -8,8 +8,9 @@ spans human-inspectable when tracing the generation engine.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 EOT_SYMBOL = "<eot>"
@@ -200,6 +201,11 @@ def save_transcripts(path: str | Path, transcripts: list[Transcript]) -> None:
                 "turns": [{"role": turn.role, "text": turn.text} for turn in t.turns],
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def file_fingerprint(path: str | Path) -> str:
+    """First 16 hex digits of the SHA-256 of the file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 def turn_prefix_tokens(user_text: str, vocab: Vocabulary, grow: bool = True) -> list[int]:

@@ -22,17 +22,20 @@ extends the index (when copying) once over them; its record,
 
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
+
+:func:`run_corpus` is the one corpus-run path: ``copyspec run`` calls it
+with one config, and :func:`sweep` with one config per gamma or chunk
+length. The process pool is imported only when ``jobs > 1``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
 from .lm import LangModel, greedy_extend
 from .match_index import MatchIndex, extract_chunk
-from .metrics import CostModel, RunMetrics, score_log
+from .metrics import CostModel, RunMetrics, aggregate, score_log
 
 STRATEGIES = ("baseline", "copy", "specdec", "copy_plus_specdec")
 
@@ -310,6 +313,65 @@ def run_corpus(
     """
     job_list = [(t, vocab, target, draft, configs, cost) for t in transcripts]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_configs, job_list))
     return [_run_configs(job) for job in job_list]
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    axis: str  # "gamma" | "chunk_len"
+    points: list[tuple[int, RunMetrics, int]]  # (value, pooled metrics, copy attempts)
+    runs: list = field(default_factory=list, repr=False)  # run_corpus output, one run per value
+
+    def to_dict(self) -> dict:
+        return {
+            "axis": self.axis,
+            "points": [
+                {"value": v, "metrics": m.to_dict(), "copy_attempts": a} for v, m, a in self.points
+            ],
+        }
+
+    def long_rows(self) -> list[tuple[int, str, float]]:
+        """Plot-ready (value, metric, number) rows."""
+        rows: list[tuple[int, str, float]] = []
+        for v, m, attempts in self.points:
+            for name, num in m.to_dict().items():
+                rows.append((v, name, float(num)))
+            rows.append((v, "copy_attempts_total", float(attempts)))
+        return rows
+
+
+def sweep(
+    corpus: list[Transcript],
+    vocab: Vocabulary,
+    target: LangModel,
+    draft: LangModel | None,
+    base_config: EngineConfig,
+    axis: str,
+    values: list[int],
+    cost: CostModel | None = None,
+    jobs: int = 1,
+) -> SweepResult:
+    """Run the whole corpus once per value of ``axis``, all else fixed.
+
+    The models are spawned once per transcript and truncated to the empty
+    prefix between values, so results are identical to independent runs.
+    Each point pools its turns in corpus order; ``runs`` keeps the
+    per-transcript metrics behind the points.
+    """
+    if axis not in ("gamma", "chunk_len"):
+        raise ValueError(f"axis must be 'gamma' or 'chunk_len', got {axis!r}")
+    if not values:
+        raise ValueError("values must be non-empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("values must be strictly increasing")
+    configs = [replace(base_config, **{axis: value}) for value in values]
+    runs = run_corpus(corpus, vocab, target, draft, configs, cost, jobs)
+    points = []
+    for i, value in enumerate(values):
+        pooled = aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])
+        points.append((value, pooled, pooled.copy_attempts))
+    return SweepResult(axis=axis, points=points, runs=runs)

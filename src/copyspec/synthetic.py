@@ -31,7 +31,6 @@ shipped corpora replay deterministically under an order-4 target.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -287,7 +286,3 @@ def write_corpora(directory: str | Path, n: int = 50, seed: int = CORPUS_SEED) -
         save_transcripts(path, transcripts)
         paths.append(path)
     return paths
-
-
-def file_fingerprint(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]

@@ -18,11 +18,10 @@ from copyspec.analysis import (
     cosine_similarity,
     cs_profile,
     permutation_baseline,
-    sweep,
     train_left_skipgram,
 )
 from copyspec.corpus import Vocabulary, load_transcripts, training_sequences
-from copyspec.engine import EngineConfig, generate, run_transcript
+from copyspec.engine import EngineConfig, generate, run_transcript, sweep
 from copyspec.lm import train_kgram
 from copyspec.match_index import MatchIndex
 from copyspec.metrics import CostModel, aggregate, speedup

@@ -11,10 +11,9 @@ from copyspec.analysis import (
     cs_study,
     permutation_baseline,
     predict_distribution,
-    sweep,
     train_left_skipgram,
 )
-from copyspec.engine import EngineConfig, run_transcript
+from copyspec.engine import EngineConfig, run_transcript, sweep
 from copyspec.metrics import CostModel, aggregate
 from copyspec.synthetic import make_redundant_corpus
 from copyspec.corpus import Vocabulary, training_sequences

@@ -56,8 +56,19 @@ def test_missing_corpus_is_runtime_error(tmp_path, capsys):
 def test_run_deterministic_across_repeats(small_corpus_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
-        assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--seed", "5", "--out", out) == 0
+        assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_output_does_not_depend_on_corpus_path(small_corpus_path, tmp_path, monkeypatch):
+    # metric files name the corpus by fingerprint, so how its path is spelled does not matter
+    monkeypatch.chdir(small_corpus_path.parent)
+    outputs = []
+    for corpus in (small_corpus_path.name, small_corpus_path.resolve()):
+        out = tmp_path / f"{len(outputs)}.json"
+        assert run_cli("run", "--corpus", corpus, "--strategy", "copy", "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_jobs_parallelism_is_order_stable(small_corpus_path, tmp_path):
@@ -245,10 +256,40 @@ def test_skipgram_command(small_corpus_path, tmp_path):
 
 
 def test_env_seed_override(small_corpus_path, tmp_path, monkeypatch):
-    out = tmp_path / "m.json"
+    out = tmp_path / "cs.json"
     monkeypatch.setenv("COPYSPEC_SEED", "4242")
-    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", out)
+    argv = ["skipgram", "--corpus", small_corpus_path, "--gammas", "2", "--dim", "4", "--epochs", "1", "--out", out]
+    assert run_cli(*argv) == 0
     assert json.loads(out.read_text())["config"]["seed"] == 4242
+
+
+_LOADED_PROBE = """
+import json, sys
+heavy = ("numpy", "concurrent.futures", "copyspec.analysis", "copyspec.synthetic")
+loaded = {}
+import copyspec.cli
+loaded["import"] = [m for m in heavy if m in sys.modules]
+corpus, out = sys.argv[1], sys.argv[2]
+copyspec.cli.main(["run", "--corpus", corpus, "--strategy", "copy+specdec", "--out", out + "/run.json"])
+loaded["run"] = [m for m in heavy if m in sys.modules]
+copyspec.cli.main(["sweep", "--corpus", corpus, "--strategy", "copy+specdec", "--axis", "gamma",
+                   "--values", "2,3", "--out", out + "/sweep.json", "--records-out", out + "/sweep.jsonl"])
+loaded["sweep"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_run_and_sweep_load_only_the_engine_path(small_corpus_path, tmp_path):
+    # numpy and the process pool stay unloaded unless skipgram or --jobs > 1 asks for them
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, str(small_corpus_path), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(copyspec.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "run": [], "sweep": []}
+    assert (tmp_path / "run.json").exists() and (tmp_path / "sweep.jsonl").exists()
 
 
 def test_console_entry_point(small_corpus_path):
