@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import Transcript, Vocabulary, file_fingerprint, load_transcripts, training_sequences
+from .corpus import Transcript, Vocabulary, file_fingerprint, ingest, load_transcripts, training_sequences
 from .engine import EngineConfig, run_corpus, sweep
 from .lm import KgramLM, train_kgram
 from .metrics import (
@@ -150,7 +150,8 @@ def _load_corpus(path: str) -> list[Transcript]:
 
 
 def _build_models(args, transcripts):
-    """Target and (if the strategy drafts) draft model, counted once.
+    """Vocabulary, user-turn prompts, target and (if the strategy drafts)
+    draft model, from one tokenizing pass and one counting pass.
 
     Trained models are views at their own order of one set of counts and
     argmax tables: neither depends on the highest order counted. A loaded
@@ -161,17 +162,17 @@ def _build_models(args, transcripts):
     if args.model_path:
         target, symbols = KgramLM.load(args.model_path)
         vocab = Vocabulary(list(symbols) if symbols else None)
-        seqs = training_sequences(transcripts, vocab)
+        seqs, prompts = ingest(transcripts, vocab)
         target.vocab_size = max(target.vocab_size, len(vocab))
         draft = train_kgram(seqs, args.draft_order, vocab_size=len(vocab)) if wants_draft else None
-        return vocab, target, draft
+        return vocab, prompts, target, draft
     vocab = Vocabulary()
-    seqs = training_sequences(transcripts, vocab)
+    seqs, prompts = ingest(transcripts, vocab)
     top = max(args.target_order, args.draft_order) if wants_draft else args.target_order
     full = train_kgram(seqs, top, vocab_size=len(vocab))
     target = KgramLM(args.target_order, full.counts, len(vocab), full.tables)
     draft = KgramLM(args.draft_order, full.counts, len(vocab), full.tables) if wants_draft else None
-    return vocab, target, draft
+    return vocab, prompts, target, draft
 
 
 def _engine_config(args) -> EngineConfig:
@@ -237,11 +238,11 @@ def _emit(args, payload: dict, records: list[dict]) -> None:
 def cmd_run(args) -> int:
     t0 = time.monotonic()
     transcripts = _load_corpus(args.corpus)
-    vocab, target, draft = _build_models(args, transcripts)
+    vocab, prompts, target, draft = _build_models(args, transcripts)
     config = _engine_config(args)
     cost = _cost_model(args)
     echo = _config_echo(args)
-    runs = run_corpus(transcripts, vocab, target, draft, [config], cost, args.jobs)
+    runs = run_corpus(transcripts, vocab, target, draft, [config], cost, args.jobs, prompts)
 
     records = []
     by_turn: dict[int, list] = {}
@@ -270,13 +271,13 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     transcripts = _load_corpus(args.corpus)
-    vocab, target, draft = _build_models(args, transcripts)
+    vocab, prompts, target, draft = _build_models(args, transcripts)
     config = _engine_config(args)
     cost = _cost_model(args)
     axis = "gamma" if args.axis == "gamma" else "chunk_len"
     echo = _config_echo(args, {"axis": axis, "values": ",".join(map(str, args.values))})
 
-    result = sweep(transcripts, vocab, target, draft, config, axis, args.values, cost, args.jobs)
+    result = sweep(transcripts, vocab, target, draft, config, axis, args.values, cost, args.jobs, prompts)
     payload = {"config": echo, "sweep": result.to_dict()}
 
     if args.records_out:

@@ -221,24 +221,43 @@ def turn_prefix_tokens(user_text: str, vocab: Vocabulary, grow: bool = True) -> 
     )
 
 
-def assemble_transcript_tokens(transcript: Transcript, vocab: Vocabulary, grow: bool = True) -> list[int]:
-    """Full token sequence of a transcript including reference answers.
+def ingest(transcripts: list[Transcript], vocab: Vocabulary) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """Tokenize every transcript once, growing ``vocab``: the one tokenizing pass.
 
-    Mirrors the context layout used during generation: each user turn is
-    wrapped in role tags and each assistant text ends with end-of-text.
-    Used for corpus statistics (reference-model training), never as
-    generation context.
+    Returns each transcript's training sequence and the prompt of each of
+    its user turns (:func:`turn_prefix_tokens`). A sequence lays the turns
+    out as generation does: each user turn is its prompt, each assistant
+    text ends with end-of-text. Generation reads only the prompts; the
+    reference answers serve training and corpus statistics.
     """
-    toks: list[int] = []
-    for turn in transcript.turns:
-        if turn.role == "user":
-            toks += turn_prefix_tokens(turn.text, vocab, grow=grow)
-        else:
-            toks += tokenize(turn.text, vocab, grow=grow)
-            toks.append(EOT_ID)
-    return toks
+    sequences: list[list[int]] = []
+    prompts: list[list[list[int]]] = []
+    for transcript in transcripts:
+        seq: list[int] = []
+        turn_prompts: list[list[int]] = []
+        for turn in transcript.turns:
+            if turn.role == "user":
+                prompt = turn_prefix_tokens(turn.text, vocab)
+                turn_prompts.append(prompt)
+                seq += prompt
+            else:
+                seq += tokenize(turn.text, vocab, grow=True)
+                seq.append(EOT_ID)
+        sequences.append(seq)
+        prompts.append(turn_prompts)
+    return sequences, prompts
 
 
 def training_sequences(transcripts: list[Transcript], vocab: Vocabulary) -> list[list[int]]:
-    """One assembled token sequence per transcript, growing ``vocab``."""
-    return [assemble_transcript_tokens(t, vocab, grow=True) for t in transcripts]
+    """One token sequence per transcript, growing ``vocab`` (:func:`ingest`)."""
+    return ingest(transcripts, vocab)[0]
+
+
+def user_prompts(transcript: Transcript, vocab: Vocabulary) -> list[list[int]]:
+    """The prompt of each user turn, growing ``vocab``.
+
+    For callers that did not :func:`ingest` the corpus; once ``vocab``
+    holds the transcript's symbols, these are the prompts :func:`ingest`
+    gives.
+    """
+    return [turn_prefix_tokens(turn.text, vocab) for turn in transcript.user_turns()]

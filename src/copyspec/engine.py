@@ -13,8 +13,12 @@ back by truncating the model caches to the accepted prefix.
 Each model cache holds a prefix of the context. The newest committed
 token stays unseen (pending) until the next attempt scores it together
 with the proposal, so every attempt makes exactly one target pass, as
-the cost model charges. The draft catches up on the context it has not
-seen in the first call of its next proposal.
+the cost model charges. Context whose predictions nobody reads is fed to
+a cache unscored: each prompt, to both models when it is added, and the
+draft's catch-up on context it has not seen, at its next proposal. So
+every ``score_block`` call is either an attempt's target pass or one
+drafted token, and the models' ``blocks_scored`` and ``tokens_scored``
+equal what :func:`~copyspec.metrics.attempt_cost` charges.
 
 Each attempt appends its committed tokens to the context in place and
 extends the index (when copying) once over them; its record,
@@ -25,14 +29,16 @@ sequence equals plain greedy decoding of the target model.
 
 :func:`run_corpus` is the one corpus-run path: ``copyspec run`` calls it
 with one config, and :func:`sweep` with one config per gamma or chunk
-length. The process pool is imported only when ``jobs > 1``.
+length. Both take the user-turn prompts of :func:`~copyspec.corpus.ingest`
+and hand them to each transcript's job, so generation never tokenizes.
+The process pool is imported only when ``jobs > 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
+from .corpus import EOT_ID, Transcript, Vocabulary, user_prompts
 from .lm import LangModel, greedy_extend
 from .match_index import MatchIndex, extract_chunk
 from .metrics import CostModel, RunMetrics, aggregate, score_log
@@ -117,9 +123,10 @@ class Session:
     def extend_context(self, tokens: list[int]) -> None:
         """Append prompt-side tokens: indexed (when copying) and fed to the model caches.
 
-        Each model is fed the context it has not seen except the newest
-        token, which stays pending until the next attempt's pass. Prompt
-        processing is not an attempt and carries no simulated cost.
+        Each model is fed, unscored, the context it has not seen except
+        the newest token, which stays pending until the next attempt's
+        pass. Prompt processing is not an attempt, makes no scoring call
+        and carries no simulated cost.
         """
         if not tokens:
             return
@@ -127,8 +134,8 @@ class Session:
         if self.index is not None:
             self.index.extend(self.context)
         for model in (self.target, self.draft):
-            if model is not None and model.state_len < len(self.context) - 1:
-                model.score_block(self.context[model.state_len:-1])
+            if model is not None:
+                model.feed(self.context[model.state_len:-1])
 
     def verify_block(self, proposal: list[int], source: str, index_ops: int = 0) -> AttemptOutcome:
         """Score the pending token plus a proposal in one target pass.
@@ -250,18 +257,24 @@ def run_transcript(
     draft: LangModel | None,
     config: EngineConfig,
     cost: CostModel | None = None,
+    prompts: list[list[int]] | None = None,
 ) -> list[TurnResult]:
     """Generate one assistant answer per user turn, sharing one session.
 
     The context for each turn is everything before it: role-tagged user
     texts and the engine's own previous answers (file reference answers
     are ignored). The match index persists and grows across turns.
+    ``prompts`` are the user turns' tokens from
+    :func:`~copyspec.corpus.ingest`; without them the user turns are
+    tokenized here.
     """
     cost = cost or CostModel()
+    if prompts is None:
+        prompts = user_prompts(transcript, vocab)
     session = Session(target, draft, config)
     results: list[TurnResult] = []
-    for turn_no, turn in enumerate(transcript.user_turns(), start=1):
-        session.extend_context(turn_prefix_tokens(turn.text, vocab, grow=True))
+    for turn_no, prompt in enumerate(prompts, start=1):
+        session.extend_context(prompt)
         output, outcomes = session.run()
         results.append(
             TurnResult(
@@ -281,7 +294,7 @@ def _run_configs(job):
     which the cache contract makes equivalent to fresh spawns. Only the
     per-turn metrics are kept.
     """
-    transcript, vocab, target, draft, configs, cost = job
+    transcript, prompts, vocab, target, draft, configs, cost = job
     target = target.spawn()
     draft = draft.spawn() if draft is not None else None
     runs = []
@@ -289,7 +302,7 @@ def _run_configs(job):
         for model in (target, draft):
             if model is not None:
                 model.truncate(0)
-        results = run_transcript(transcript, vocab, target, draft, config, cost)
+        results = run_transcript(transcript, vocab, target, draft, config, cost, prompts)
         runs.append([(r.turn, r.metrics) for r in results])
     return transcript.id, transcript.category, runs
 
@@ -302,16 +315,21 @@ def run_corpus(
     configs: list[EngineConfig],
     cost: CostModel | None = None,
     jobs: int = 1,
+    prompts: list[list[list[int]]] | None = None,
 ) -> list[tuple[str, str, list[list[tuple[int, RunMetrics]]]]]:
     """Run every transcript under every config; the one corpus-run path.
 
     Returns, per transcript in corpus order, ``(id, category, runs)``
     where ``runs[i]`` lists ``(turn, metrics)`` under ``configs[i]``.
-    Each transcript spawns its models once and is one job: with
-    ``jobs > 1`` transcripts are spread over that many worker processes,
-    and the result does not depend on ``jobs``.
+    Each transcript spawns its models once and is one job, which carries
+    the transcript's prompts (``prompts[i]``, from
+    :func:`~copyspec.corpus.ingest`; tokenized here once if not given):
+    with ``jobs > 1`` transcripts are spread over that many worker
+    processes, and the result does not depend on ``jobs``.
     """
-    job_list = [(t, vocab, target, draft, configs, cost) for t in transcripts]
+    if prompts is None:
+        prompts = [user_prompts(t, vocab) for t in transcripts]
+    job_list = [(t, p, vocab, target, draft, configs, cost) for t, p in zip(transcripts, prompts)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -354,11 +372,13 @@ def sweep(
     values: list[int],
     cost: CostModel | None = None,
     jobs: int = 1,
+    prompts: list[list[list[int]]] | None = None,
 ) -> SweepResult:
     """Run the whole corpus once per value of ``axis``, all else fixed.
 
     The models are spawned once per transcript and truncated to the empty
     prefix between values, so results are identical to independent runs.
+    The prompts are tokenized once for all values (see :func:`run_corpus`).
     Each point pools its turns in corpus order; ``runs`` keeps the
     per-transcript metrics behind the points.
     """
@@ -369,7 +389,7 @@ def sweep(
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("values must be strictly increasing")
     configs = [replace(base_config, **{axis: value}) for value in values]
-    runs = run_corpus(corpus, vocab, target, draft, configs, cost, jobs)
+    runs = run_corpus(corpus, vocab, target, draft, configs, cost, jobs, prompts)
     points = []
     for i, value in enumerate(values):
         pooled = aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])

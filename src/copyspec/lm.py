@@ -5,12 +5,15 @@ tensors). ``score_block`` appends a block to the cache and returns, for
 each position i of the block, the argmax next token *after* the cached
 prefix plus ``block[:i+1]``, as the logits of a real forward pass do; so
 the last entry predicts the token that follows the whole block.
-``truncate`` rolls the cache back to a shorter prefix. Scoring is a pure
-function of the prefix: any sequence of appends and truncations that
-leaves the same prefix scores identically to a fresh model fed that
-prefix. Each token's range is checked as it is scored; a block holding a
-token outside the vocabulary is undone and rejected, leaving the cache
-and the counters as they were.
+``feed`` appends tokens whose predictions nobody reads (a prompt, the
+draft's catch-up) without scoring them, and ``truncate`` rolls the cache
+back to a shorter prefix. Scoring is a pure function of the prefix: any
+sequence of feeds, appends and truncations that leaves the same prefix
+scores identically to a fresh model fed that prefix. Every token's range
+is checked; a block or a feed holding a token outside the vocabulary is
+rejected, leaving the cache and the counters as they were.
+``blocks_scored`` and ``tokens_scored`` count scoring calls and the
+tokens they score, ``tokens_fed`` the tokens fed.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
@@ -58,6 +61,7 @@ class LangModel:
         self._state: list[int] = []
         self.blocks_scored = 0
         self.tokens_scored = 0
+        self.tokens_fed = 0
 
     @property
     def state_len(self) -> int:
@@ -96,6 +100,21 @@ class LangModel:
         self.tokens_scored += len(block)
         return out
 
+    def feed(self, tokens: Sequence[int]) -> None:
+        """Append tokens to the cache without scoring them.
+
+        The same cache update as :meth:`score_block`, with no argmax: for
+        context whose predictions are never read. A token outside the
+        vocabulary raises :class:`InvalidToken` before anything is
+        appended, so the cache and the counters stay as they were.
+        """
+        vocab_size = self.vocab_size
+        for tok in tokens:
+            if not 0 <= tok < vocab_size:
+                raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
+        self._state += tokens
+        self.tokens_fed += len(tokens)
+
     def _backoff(self, state: list[int]) -> int:
         """The argmax at the longest context below ``order`` that has an entry."""
         n = len(state)
@@ -118,19 +137,25 @@ class LangModel:
         raise NotImplementedError
 
 
-def greedy_extend(model: LangModel, feed: Sequence[int], n: int) -> list[int]:
-    """Greedily draft n tokens after the cached prefix plus ``feed``.
+def greedy_extend(model: LangModel, unseen: Sequence[int], n: int) -> list[int]:
+    """Greedily draft n tokens after the cached prefix plus ``unseen``.
 
-    Makes exactly n ``score_block`` calls: the first feeds ``feed`` (the
-    context the model has not seen yet) and each later one feeds the
-    previous drafted token, so each choice conditions on the ones before
-    it. The last drafted token is returned but not fed.
+    ``unseen`` is the non-empty context the model has not seen yet. All of
+    it but its last token is fed unscored, since only the prediction after
+    the whole of it is read. Then exactly n one-token ``score_block``
+    calls follow: the first scores the last unseen token and each later
+    one the previous drafted token, so each choice conditions on the ones
+    before it. The last drafted token is returned but not fed.
     """
+    block = unseen
+    if len(unseen) > 1:
+        model.feed(unseen[:-1])
+        block = unseen[-1:]
     out: list[int] = []
     for _ in range(n):
-        nxt = model.score_block(feed)[-1]
+        nxt = model.score_block(block)[-1]
         out.append(nxt)
-        feed = [nxt]
+        block = [nxt]
     return out
 
 

@@ -2,15 +2,32 @@
 
 Everything here deliberately avoids the implementation paths it checks:
 the match oracle is a naive full scan, the greedy reference drives the
-model interface token by token without the engine, and the metrics
-oracle re-aggregates raw logs from scratch.
+model interface token by token without the engine, the metrics oracle
+re-aggregates raw logs from scratch, and the transcript assembly
+tokenizes word by word without the corpus's ingest pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from copyspec.corpus import ASSISTANT_TAG, EOT_ID, USER_TAG, tokenize
 from copyspec.lm import KgramLM, LangModel, TableLM, train_kgram
+
+
+def assemble_transcript_tokens(transcript, vocab):
+    """A transcript's token sequence, turn by turn, growing ``vocab``:
+    ``<user> text <assistant>`` per user turn, ``text <eot>`` per answer."""
+    toks = []
+    for turn in transcript.turns:
+        if turn.role == "user":
+            toks.append(vocab.add(USER_TAG))
+            toks += tokenize(turn.text, vocab, grow=True)
+            toks.append(vocab.add(ASSISTANT_TAG))
+        else:
+            toks += tokenize(turn.text, vocab, grow=True)
+            toks.append(EOT_ID)
+    return toks
 
 
 def naive_match_scan(context, gamma, t=None):

@@ -99,18 +99,46 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_tokenizer_calls(monkeypatch):
+    """Count ``tokenize`` calls in this process; a call in another process
+    (a ``--jobs`` worker, which inherits the patch) raises instead."""
+    pid = os.getpid()
+    original = copyspec.corpus.tokenize
+
+    def tokenize_here(*args, **kwargs):
+        if os.getpid() != pid:
+            raise AssertionError("a worker tokenized")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(copyspec.corpus, "tokenize", tokenize_here)
+    return _count_calls(monkeypatch, copyspec.corpus, "tokenize")
+
+
 def test_sweep_computes_each_result_once(small_corpus_path, tmp_path, monkeypatch):
-    # one corpus pass per value, records included, and one k-gram training
+    # one corpus pass per value, records included, one k-gram training and
+    # one tokenizing pass (one tokenize call per turn), whatever the values
     runs = _count_calls(monkeypatch, copyspec.engine, "run_transcript")
     trainings = _count_calls(monkeypatch, copyspec.lm, "train_kgram")
+    tokenized = _count_tokenizer_calls(monkeypatch)
     argv = ["sweep", "--corpus", small_corpus_path, "--strategy", "copy+specdec", "--axis", "gamma"]
     records = tmp_path / "records.jsonl"
     assert run_cli(*argv, "--values", "2,3,5", "--out", tmp_path / "s.json", "--records-out", records) == 0
     transcripts = load_transcripts(small_corpus_path)
     assert len(runs) == len(transcripts) * 3
     assert len(trainings) == 1
+    assert len(tokenized) == sum(len(t.turns) for t in transcripts)
     turns = sum(len(t.user_turns()) for t in transcripts)
     assert len(records.read_text().splitlines()) == 3 * turns
+
+
+@pytest.mark.parametrize("command, jobs", [("run", "1"), ("run", "2"), ("sweep", "2")])
+def test_generation_never_tokenizes(small_corpus_path, tmp_path, monkeypatch, command, jobs):
+    # the one tokenizing pass happens before generation, and each --jobs
+    # worker gets its transcripts' prompts with the job
+    tokenized = _count_tokenizer_calls(monkeypatch)
+    argv = ["run", "--strategy", "copy"] if command == "run" else ["sweep", "--axis", "gamma", "--values", "2,3"]
+    assert run_cli(*argv, "--corpus", small_corpus_path, "--jobs", jobs, "--out", tmp_path / "m.json") == 0
+    assert len(tokenized) == sum(len(t.turns) for t in load_transcripts(small_corpus_path))
 
 
 def test_csv_format_matches_json_records(small_corpus_path, tmp_path):

@@ -14,13 +14,15 @@ from copyspec.corpus import (
     Turn,
     UnknownSymbol,
     Vocabulary,
-    assemble_transcript_tokens,
     detokenize,
+    ingest,
     load_transcripts,
     save_transcripts,
     tokenize,
     turn_prefix_tokens,
 )
+
+from oracles import assemble_transcript_tokens
 
 
 def test_reserved_end_of_text():
@@ -160,8 +162,34 @@ def test_save_load_round_trip(tmp_path):
 def test_context_assembly_layout():
     vocab = Vocabulary()
     t = Transcript("id", "c", (Turn("user", "ask me"), Turn("assistant", "the answer")))
-    toks = assemble_transcript_tokens(t, vocab)
+    (toks,), (prompts,) = ingest([t], vocab)
     words = [vocab.symbol_of(x) for x in toks]
     assert words == ["<user>", "ask", "me", "<assistant>", "the", "answer", "<eot>"]
-    prefix = turn_prefix_tokens("ask me", vocab)
-    assert toks[: len(prefix)] == prefix
+    assert prompts == [turn_prefix_tokens("ask me", vocab)]
+    assert toks[: len(prompts[0])] == prompts[0]
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "a.", "b,", "c?!", "<user>", "<assistant>", "<eot>", "x;"])
+_TEXT = st.lists(_WORDS, max_size=6).map(" ".join)
+
+
+@st.composite
+def _transcripts(draw):
+    out = []
+    for i in range(draw(st.integers(1, 4))):
+        n_turns = draw(st.integers(1, 5))
+        roles = ["user" if j % 2 == 0 else "assistant" for j in range(n_turns)]
+        out.append(Transcript(f"t{i}", "c", tuple(Turn(role, draw(_TEXT)) for role in roles)))
+    return out
+
+
+@given(transcripts=_transcripts(), seeded=st.lists(_WORDS, max_size=5))
+def test_ingest_matches_assembly_and_prompts(transcripts, seeded):
+    # ``seeded`` stands for a --model-path vocabulary: symbols given up front
+    vocab, reference = Vocabulary(seeded), Vocabulary(seeded)
+    sequences, prompts = ingest(transcripts, vocab)
+    assert sequences == [assemble_transcript_tokens(t, reference) for t in transcripts]
+    assert vocab.symbols == reference.symbols
+    assert prompts == [
+        [turn_prefix_tokens(turn.text, reference, grow=False) for turn in t.user_turns()] for t in transcripts
+    ]

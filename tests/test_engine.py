@@ -103,7 +103,10 @@ def test_verify_block_full_accept_bonus_from_same_pass():
     session = Session(target.spawn(), None, EngineConfig())
     session.extend_context([9, 1, 2])
     outcome = session.verify_block([4, 1, 2, 3], "copy")
-    assert session.target.blocks_scored == 2  # the prompt and the one pass
+    # the prompt is fed unscored, all but its pending newest token; the one
+    # scored pass covers the pending token and the proposal
+    assert session.target.tokens_fed == 2
+    assert (session.target.blocks_scored, session.target.tokens_scored) == (1, 5)
     assert outcome.accepted_k == 4
     assert outcome.bonus == reference[4]
     assert session.context == [9, 1, 2] + reference[:5]
@@ -231,12 +234,15 @@ def test_model_calls_match_cost_model(redundant_setup, monkeypatch):
             for before, after, log in runs:
                 assert_run_accounting(before, after, log)
             attempts = [o for _, _, log in runs for o in log]
-            # each turn's prompt is one block per model; the newest token of
-            # the first prompt is still pending when generation starts
-            assert t.blocks_scored == len(attempts) + len(prompts)
-            assert t.tokens_scored == sum(prompts) - 1 + sum(o.proposed + 1 for o in attempts)
+            # scoring is exactly what the cost model charges: one target
+            # pass per attempt and one draft token per call; prompts are fed
+            # unscored, all but the first prompt's newest token, which is
+            # still pending when generation starts
+            assert t.blocks_scored == len(attempts)
+            assert t.tokens_scored == sum(o.proposed + 1 for o in attempts)
+            assert t.tokens_fed == sum(prompts) - 1
             drafted = sum(o.proposed for o in attempts if o.source == "draft")
-            assert d.blocks_scored == len(prompts) + drafted
+            assert d.blocks_scored == d.tokens_scored == drafted
 
 
 def test_non_copy_strategies_never_touch_the_index(redundant_setup, monkeypatch):

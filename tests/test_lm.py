@@ -170,6 +170,11 @@ def test_greedy_extend_conditions_on_own_tokens():
     assert greedy_extend(model, [1], 3) == [2, 3, 4]
     assert model.state == (1, 2, 3)  # the last drafted token is not fed
     assert model.blocks_scored == 3  # one call per drafted token
+    # catching up on unseen context feeds all of it but the last token unscored
+    model.truncate(0)
+    assert greedy_extend(model, [4, 5, 1], 2) == [2, 3]
+    assert model.state == (4, 5, 1, 2) and model.tokens_fed == 2
+    assert model.blocks_scored == 5 and model.tokens_scored == 5
 
 
 def test_persistence_round_trip(tmp_path):
@@ -238,3 +243,76 @@ def test_kgram_argmax_matches_naive_scan(case, order, extra):
         for model in models:
             model.truncate(0)
             assert model.score_block(seq) == expected
+
+
+@st.composite
+def model_and_ops(draw):
+    """A TableLM or KgramLM over a small vocabulary and a random run of feeds,
+    scored blocks and truncations (a truncation keeps a fraction of the cache)."""
+    vocab = draw(st.integers(2, 6))
+    tokens = st.integers(0, vocab - 1)
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 3))
+        table = draw(st.dictionaries(st.tuples(*[tokens] * order), tokens, max_size=12))
+        model = TableLM(vocab, order, table, fallback=draw(tokens))
+    else:
+        corpus = draw(st.lists(st.lists(tokens, max_size=16), min_size=1, max_size=3))
+        model = train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab)
+    op = st.one_of(
+        st.tuples(st.just("feed"), st.lists(tokens, max_size=8)),
+        st.tuples(st.just("score"), st.lists(tokens, min_size=1, max_size=8)),
+        st.tuples(st.just("truncate"), st.floats(0, 1)),
+    )
+    return model, draw(st.lists(op, min_size=1, max_size=12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=model_and_ops())
+def test_feed_then_score_equals_fresh_model(case):
+    # feeding only updates the cache: every scored block reads as on a
+    # fresh model given the same prefix, and only scoring calls are counted
+    model, ops = case
+    model = model.spawn()
+    prefix: list[int] = []
+    fed = scored_blocks = scored_tokens = 0
+    for kind, arg in ops:
+        if kind == "feed":
+            model.feed(arg)
+            prefix += arg
+            fed += len(arg)
+        elif kind == "score":
+            expected = fresh_scores(model, prefix, arg)
+            assert model.score_block(arg) == expected
+            prefix += arg
+            scored_blocks += 1
+            scored_tokens += len(arg)
+        else:
+            keep = int(arg * len(prefix))
+            model.truncate(keep)
+            del prefix[keep:]
+        assert model.state == tuple(prefix)
+    assert (model.blocks_scored, model.tokens_scored, model.tokens_fed) == (scored_blocks, scored_tokens, fed)
+
+
+def fresh_scores(model, prefix, block):
+    """What a fresh spawn scores for ``block`` after ``prefix``, scoring both."""
+    return model.spawn().score_block(prefix + block)[-len(block):]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=model_and_ops(), past_end=st.sampled_from([None, 0, 90]), at=st.integers(0, 8))
+def test_feed_out_of_vocabulary_changes_nothing(case, past_end, at):
+    # ``past_end`` None is a negative id, else the id that far past the vocabulary
+    model, ops = case
+    model = model.spawn()
+    for kind, arg in ops:
+        if kind == "feed":
+            model.feed(arg)
+        elif kind == "score":
+            model.score_block(arg)
+    block = [1] * 8
+    block.insert(at, -1 if past_end is None else model.vocab_size + past_end)
+    before = (model.state, model.blocks_scored, model.tokens_scored, model.tokens_fed)
+    with pytest.raises(InvalidToken):
+        model.feed(block)
+    assert (model.state, model.blocks_scored, model.tokens_scored, model.tokens_fed) == before
