@@ -151,28 +151,33 @@ def _load_corpus(path: str) -> list[Transcript]:
 
 def _build_models(args, transcripts):
     """Vocabulary, user-turn prompts, target and (if the strategy drafts)
-    draft model, from one tokenizing pass and one counting pass.
+    draft model, from one tokenizing pass and one training.
 
     Trained models are views at their own order of one set of counts and
-    argmax tables: neither depends on the highest order counted. A loaded
+    argmax tables: neither depends on the highest order counted. Set-up
+    builds the orders a run reads. That is the target's order, and when
+    the strategy drafts, the draft's and every order from it up to the
+    target's: on the shipped corpora the target backs off below its order
+    only while scoring draft proposals, so this keeps resolution out of
+    the first drafting turn. Any other order is built on its first
+    backoff read. A loaded
     target may come from another corpus, so the draft is then trained on
     this one.
     """
     wants_draft = _engine_config(args).allows_draft
+    t, d = args.target_order, args.draft_order
     if args.model_path:
         target, symbols = KgramLM.load(args.model_path)
         vocab = Vocabulary(list(symbols) if symbols else None)
         seqs, prompts = ingest(transcripts, vocab)
         target.vocab_size = max(target.vocab_size, len(vocab))
-        draft = train_kgram(seqs, args.draft_order, vocab_size=len(vocab)) if wants_draft else None
+        draft = train_kgram(seqs, d, vocab_size=len(vocab), resolve=[d]) if wants_draft else None
         return vocab, prompts, target, draft
     vocab = Vocabulary()
     seqs, prompts = ingest(transcripts, vocab)
-    top = max(args.target_order, args.draft_order) if wants_draft else args.target_order
-    full = train_kgram(seqs, top, vocab_size=len(vocab))
-    target = KgramLM(args.target_order, full.counts, len(vocab), full.tables)
-    draft = KgramLM(args.draft_order, full.counts, len(vocab), full.tables) if wants_draft else None
-    return vocab, prompts, target, draft
+    orders = {t, d, *range(d, t)} if wants_draft else {t}
+    full = train_kgram(seqs, max(orders), vocab_size=len(vocab), resolve=orders)
+    return vocab, prompts, full.view(t), full.view(d) if wants_draft else None
 
 
 def _engine_config(args) -> EngineConfig:

@@ -17,10 +17,12 @@ tokens they score, ``tokens_fed`` the tokens fed.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
-ones. The tables are built once, when a model is trained or loaded, and
-spawns and views share them. :class:`TableLM` is one hand-written table,
-useful as an oracle; :class:`KgramLM` resolves its tables from counted
-k-grams, which repeat realistically when trained on redundant text.
+ones. :class:`TableLM` is one hand-written table, useful as an oracle;
+:class:`KgramLM` resolves its tables from counted k-grams, which repeat
+realistically when trained on redundant text. A k-gram order is counted
+and resolved once, when something first needs it: the model's own order
+at construction, the orders training is asked for, a lower order on the
+first backoff that reaches it. Spawns and views share what is built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 from collections import Counter
 from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Tables = list[dict[tuple[int, ...], int] | None]
 
@@ -45,18 +47,20 @@ class TruncateBeyondState(ValueError):
 class LangModel:
     """The cache contract, scored from backoff argmax tables.
 
-    ``tables[o]`` maps a length-o context to the argmax after it (None: no
-    table at o); a prefix with no entry at any order predicts ``fallback``.
+    ``tables[o]`` maps a length-o context to the argmax after it, for o up
+    to ``order`` (the list may run past it); a table that is None is
+    built by :meth:`_resolve` when first read. A prefix with no entry at
+    any order predicts ``fallback``.
     """
 
-    def __init__(self, vocab_size: int, tables: Tables, fallback: int = 0):
+    def __init__(self, vocab_size: int, order: int, tables: Tables, fallback: int = 0):
         if vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-        if len(tables) < 2:
+        if order < 1:
             raise ValueError("order must be positive")
         self.vocab_size = vocab_size
         self.tables = tables
-        self.order = len(tables) - 1
+        self.order = order
         self.fallback = fallback
         self._state: list[int] = []
         self.blocks_scored = 0
@@ -118,13 +122,19 @@ class LangModel:
     def _backoff(self, state: list[int]) -> int:
         """The argmax at the longest context below ``order`` that has an entry."""
         n = len(state)
+        tables = self.tables
         for o in range(min(self.order - 1, n), -1, -1):
-            table = self.tables[o]
-            if table:
-                nxt = table.get(tuple(state[n - o:]))
-                if nxt is not None:
-                    return nxt
+            table = tables[o]
+            if table is None:
+                table = self._resolve(o)
+            nxt = table.get(tuple(state[n - o:]))
+            if nxt is not None:
+                return nxt
         return self.fallback
+
+    def _resolve(self, o: int) -> dict[tuple[int, ...], int]:
+        """Build, store and return the table at order ``o``."""
+        raise NotImplementedError
 
     def truncate(self, keep_len: int) -> None:
         """Roll the cache back to its first ``keep_len`` tokens."""
@@ -164,54 +174,100 @@ class TableLM(LangModel):
     and unlisted keys predict ``fallback``, so the model is total."""
 
     def __init__(self, vocab_size: int, order: int, table: dict[tuple[int, ...], int], fallback: int = 0):
-        super().__init__(vocab_size, [None] * order + [table], fallback)
+        super().__init__(vocab_size, order, [{}] * order + [table], fallback)
 
     def spawn(self) -> "TableLM":
         return TableLM(self.vocab_size, self.order, self.tables[-1], self.fallback)
 
 
-def _argmax_tables(counts: dict[int, Counter], order: int) -> Tables:
-    """Per context length 0..order, each context's most counted next token
-    (the smallest id on ties), in one pass over the distinct grams."""
-    tables: Tables = []
-    for o in range(order + 1):
-        table: dict[tuple[int, ...], int] = {}
-        best: dict[tuple[int, ...], int] = {}
-        for gram, c in counts.get(o, {}).items():
-            ctx, tok = gram[:-1], gram[-1]
-            b = best.get(ctx)
-            if b is None or c > b or (c == b and tok < table[ctx]):
-                best[ctx] = c
-                table[ctx] = tok
-        tables.append(table)
-    return tables
+def _count(corpus: Sequence[Sequence[int]], o: int) -> Counter:
+    """Every (context, next) gram of length o + 1 in the corpus, counted."""
+    grams: Counter = Counter()
+    for seq in corpus:
+        grams.update(zip(*(seq[i:] for i in range(o + 1))))
+    return grams
+
+
+def _argmax_table(grams: Counter) -> dict[tuple[int, ...], int]:
+    """Each context's most counted next token (the smallest id on ties),
+    in one pass over the distinct grams."""
+    table: dict[tuple[int, ...], int] = {}
+    best: dict[tuple[int, ...], int] = {}
+    for gram, c in grams.items():
+        ctx, tok = gram[:-1], gram[-1]
+        b = best.get(ctx)
+        if b is None or c > b or (c == b and tok < table[ctx]):
+            best[ctx] = c
+            table[ctx] = tok
+    return table
 
 
 class KgramLM(LangModel):
     """Counted k-gram model with shortening backoff.
 
-    ``counts[o]`` counts each (context, next) gram of length o + 1. The
-    argmax tables are resolved from them unless given: a view at a lower
-    order shares its source's, since a context's argmax does not depend
-    on the highest order counted. An untrained model predicts 0 (end of
-    text).
+    ``counts[o]`` counts each (context, next) gram of length o + 1, and
+    ``tables[o]`` maps each context to its argmax among them. An order is
+    built once, on first need: the model's own order at construction, a
+    lower one on the first backoff that reaches it. A missing count is
+    taken over ``corpus`` (the training sequences, kept, not copied);
+    with no corpus it is empty. Spawns, and views at other orders, share
+    all three, which is exact because a context's argmax does not depend
+    on the highest order counted. An unbuilt order is a None table or a
+    missing count, plain values that survive pickling. An untrained
+    model predicts 0 (end of text).
     """
 
-    def __init__(self, order: int, counts: dict[int, Counter], vocab_size: int, tables: Tables | None = None):
+    def __init__(
+        self,
+        order: int,
+        counts: dict[int, Counter],
+        vocab_size: int,
+        tables: Tables | None = None,
+        corpus: Sequence[Sequence[int]] | None = None,
+    ):
         if tables is None:
-            tables = _argmax_tables(counts, order)
-        super().__init__(vocab_size, tables[:order + 1])
+            tables = []
+        tables += [None] * (order + 1 - len(tables))  # in place: views share the list
+        super().__init__(vocab_size, order, tables)
         self.counts = counts
+        self.corpus = corpus
+        self.resolve([order])
+
+    def view(self, order: int) -> "KgramLM":
+        """A model at ``order`` sharing these counts, tables and corpus."""
+        return KgramLM(order, self.counts, self.vocab_size, self.tables, self.corpus)
 
     def spawn(self) -> "KgramLM":
-        return KgramLM(self.order, self.counts, self.vocab_size, self.tables)
+        return self.view(self.order)
+
+    def resolve(self, orders: Iterable[int]) -> None:
+        """Count and resolve each of ``orders`` not built yet."""
+        for o in orders:
+            if self.tables[o] is None:
+                self._resolve(o)
+
+    def _resolve(self, o: int) -> dict[tuple[int, ...], int]:
+        table = self.tables[o] = _argmax_table(self._counted(o))
+        return table
+
+    def _counted(self, o: int) -> Counter:
+        grams = self.counts.get(o)
+        if grams is None:
+            if self.corpus is None:
+                return Counter()
+            grams = self.counts[o] = _count(self.corpus, o)
+        return grams
 
     def to_dict(self) -> dict:
         """Versioned, order-stable dump of the counts at orders 0..order.
 
-        A view at a lower order of shared counts dumps what training at
-        that order alone would.
+        Orders not counted yet are counted first, so a model trained with
+        only some orders resolved dumps what eager training would. A view
+        at a lower order of shared counts dumps what training at that
+        order alone would.
         """
+        for o in range(self.order + 1):
+            self._counted(o)
         orders = []
         for o in sorted(o for o in self.counts if o <= self.order):
             grams = groupby(sorted(self.counts[o].items()), key=lambda kv: kv[0][:-1])
@@ -233,7 +289,9 @@ class KgramLM(LangModel):
             int(o): Counter({(*ctx, int(tok)): int(c) for ctx, hist in contexts for tok, c in hist})
             for o, contexts in obj["counts"]
         }
-        return cls(order=int(obj["order"]), counts=counts, vocab_size=int(obj["vocab_size"]))
+        model = cls(order=int(obj["order"]), counts=counts, vocab_size=int(obj["vocab_size"]))
+        model.resolve(range(model.order + 1))
+        return model
 
     def save(self, path: str | Path, vocab_symbols: Sequence[str] | None = None) -> None:
         obj = self.to_dict()
@@ -247,20 +305,26 @@ class KgramLM(LangModel):
         return cls.from_dict(obj), obj.get("vocab")
 
 
-def train_kgram(corpus: Sequence[Sequence[int]], k: int, vocab_size: int | None = None) -> KgramLM:
-    """Count every (context, next) gram at orders 0..k over the corpus.
+def train_kgram(
+    corpus: Sequence[Sequence[int]],
+    k: int,
+    vocab_size: int | None = None,
+    resolve: Iterable[int] | None = None,
+) -> KgramLM:
+    """An order-k model of the corpus, with the orders in ``resolve``
+    (default: every order 0..k) counted and their argmaxes resolved.
 
-    All backoff orders are counted so prediction is defined for short
-    prefixes. ``vocab_size`` defaults to one past the largest id seen.
+    Order k is always built; any other order is counted and resolved the
+    first time a backoff reaches it, so prediction is defined for short
+    prefixes either way. ``vocab_size`` defaults to one past the largest
+    id seen.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
     if k < 1:
         raise ValueError("order must be positive")
-    counts = {o: Counter() for o in range(k + 1)}
-    for seq in corpus:
-        for o, grams in counts.items():
-            grams.update(zip(*(seq[i:] for i in range(o + 1))))
     if vocab_size is None:
         vocab_size = max((max(seq) for seq in corpus if seq), default=0) + 1
-    return KgramLM(order=k, counts=counts, vocab_size=vocab_size)
+    model = KgramLM(order=k, counts={}, vocab_size=vocab_size, corpus=corpus)
+    model.resolve(range(k + 1) if resolve is None else resolve)
+    return model

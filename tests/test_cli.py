@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import copyspec
-from copyspec.cli import main
+from copyspec.cli import _build_models, _load_corpus, build_parser, main
 from copyspec.metrics import RunMetrics, aggregate
 from copyspec.synthetic import make_redundant_corpus
 from copyspec.corpus import load_transcripts, save_transcripts
@@ -139,6 +139,41 @@ def test_generation_never_tokenizes(small_corpus_path, tmp_path, monkeypatch, co
     argv = ["run", "--strategy", "copy"] if command == "run" else ["sweep", "--axis", "gamma", "--values", "2,3"]
     assert run_cli(*argv, "--corpus", small_corpus_path, "--jobs", jobs, "--out", tmp_path / "m.json") == 0
     assert len(tokenized) == sum(len(t.turns) for t in load_transcripts(small_corpus_path))
+
+
+def _built_orders(model):
+    return [o for o, table in enumerate(model.tables) if table is not None]
+
+
+@pytest.mark.parametrize(
+    "strategy, orders",
+    [("baseline", [4]), ("copy", [4]), ("specdec", [2, 3, 4]), ("copy+specdec", [2, 3, 4])],
+)
+def test_setup_builds_only_the_orders_a_run_reads(small_corpus_path, strategy, orders):
+    # the target's order, and when the strategy drafts, every order from
+    # the draft's up to the target's; the views share one set of tables
+    args = build_parser().parse_args(["run", "--corpus", str(small_corpus_path), "--strategy", strategy])
+    _, _, target, draft = _build_models(args, _load_corpus(args.corpus))
+    assert _built_orders(target) == orders
+    assert (draft is None) == (strategy in ("baseline", "copy"))
+    if draft is not None:
+        assert draft.order == 2 and draft.tables is target.tables
+
+
+@pytest.mark.parametrize("target_order, draft_order", [(1, 1), (3, 5), (5, 2)])
+def test_lazy_orders_equal_eager_training(data_dir, tmp_path, monkeypatch, target_order, draft_order):
+    # the metric file is the one written when set-up resolves every order
+    argv = ["run", "--corpus", data_dir / "novel_2turn.jsonl", "--strategy", "copy+specdec",
+            "--target-order", target_order, "--draft-order", draft_order]
+    assert run_cli(*argv, "--out", tmp_path / "lazy.json") == 0
+    train = copyspec.cli.train_kgram
+
+    def eager(seqs, k, vocab_size=None, resolve=None):
+        return train(seqs, k, vocab_size=vocab_size)
+
+    monkeypatch.setattr(copyspec.cli, "train_kgram", eager)
+    assert run_cli(*argv, "--out", tmp_path / "eager.json") == 0
+    assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
 
 
 def test_csv_format_matches_json_records(small_corpus_path, tmp_path):

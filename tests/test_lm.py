@@ -1,3 +1,4 @@
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -243,6 +244,67 @@ def test_kgram_argmax_matches_naive_scan(case, order, extra):
         for model in models:
             model.truncate(0)
             assert model.score_block(seq) == expected
+
+
+def built_orders(model):
+    return [o for o, table in enumerate(model.tables) if table is not None]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=small_vocab_corpus(), order=st.integers(1, 5), data=st.data())
+def test_lazy_resolution_equals_eager_and_naive(case, order, data):
+    # a model trained with no extra order resolved, a spawn of it, a view
+    # at a lower order sharing its tables, and a pickled copy of one of
+    # them, probed so that first misses reach the backoff orders in a
+    # random order, score every prefix as a model with every order
+    # resolved up front and as a naive scan of the corpus
+    vocab, corpus, probes = case
+    lazy = train_kgram(corpus, order, vocab_size=vocab, resolve=[])
+    assert built_orders(lazy) == [order]
+    eager = train_kgram(corpus, order, vocab_size=vocab)
+    low = data.draw(st.integers(1, order), label="view order")
+    models = [lazy, lazy.spawn(), lazy.view(low)]
+    pickled = data.draw(st.integers(0, 2), label="pickled")
+    models[pickled] = pickle.loads(pickle.dumps(models[pickled]))
+    assert all(set(built_orders(m)) == {low, order} for m in models)
+    tokens = st.integers(0, vocab - 1)
+    reach = data.draw(st.permutations(range(order)), label="orders in the order first reached")
+    # a state of o < order tokens misses the top table and first backs off at order o
+    states = [data.draw(st.lists(tokens, min_size=max(o, 1), max_size=max(o, 1))) for o in reach]
+    for state in states + [s for s in corpus if s] + probes:
+        for model in data.draw(st.permutations(models), label="model order"):
+            fresh = eager.view(model.order)
+            model.truncate(0)
+            model.feed(state[:-1])
+            fresh.feed(state[:-1])
+            assert model.score_block(state[-1:]) == fresh.score_block(state[-1:])
+            model.truncate(0)
+            fresh.truncate(0)
+            expected = [naive_kgram_argmax(corpus, model.order, state[:i + 1]) for i in range(len(state))]
+            assert model.score_block(state) == fresh.score_block(state) == expected
+    # the models that share tables agree on what is built, and every built
+    # table is the eager one
+    shared = [m for i, m in enumerate(models) if i != pickled]
+    assert all(m.tables is shared[0].tables for m in shared)
+    for model in models:
+        for o in built_orders(model):
+            assert model.tables[o] == eager.tables[o]
+
+
+def test_lazy_model_dumps_every_order(tmp_path):
+    # ``to_dict`` counts the orders nothing has read yet before dumping
+    seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
+    lazy = train_kgram(seqs, 3, vocab_size=4, resolve=[])
+    assert sorted(lazy.counts) == [3]
+    eager = train_kgram(seqs, 3, vocab_size=4)
+    assert lazy.to_dict() == eager.to_dict()
+    assert [o for o, _ in lazy.to_dict()["counts"]] == [0, 1, 2, 3]
+    lazy.save(tmp_path / "lazy.json")
+    eager.save(tmp_path / "eager.json")
+    assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
+    # a loaded dump resolves every order at load, as eager training does
+    loaded, _ = KgramLM.load(tmp_path / "lazy.json")
+    assert loaded.tables == eager.tables
 
 
 @st.composite
