@@ -33,14 +33,15 @@ print("PROMPT:", PROMPT)
 print(f"\ngamma={config.gamma}, chunk_len={config.chunk_len}\n")
 
 words = vocab.symbol_of
-produced = 0
 budget = 64
-step = 0
+outcomes = []
+produced = 0
 while produced < budget:
     before = len(session.context)
     outcome = session.step(budget - produced)
+    outcomes.append(outcome)
     produced += outcome.accepted_k + 1
-    step += 1
+    step = len(outcomes)
     added = session.context[before:]
     if outcome.source == "copy":
         accepted = " ".join(words(t) for t in added[:-1])
@@ -55,8 +56,7 @@ output = session.context[len(prompt_ids):]
 if output and output[-1] == EOT_ID:
     output = output[:-1]
 print("\nOUTPUT:", " ".join(words(t) for t in output))
-print("\nAttempts:", len(session.log),
-      "| copied tokens:", sum(o.accepted_k for o in session.log if o.source == "copy"),
-      "| total tokens:", sum(o.accepted_k + 1 for o in session.log))
-print("The same text decoded token by token would take",
-      sum(o.accepted_k + 1 for o in session.log), "attempts.")
+print("\nAttempts:", len(outcomes),
+      "| copied tokens:", sum(o.accepted_k for o in outcomes if o.source == "copy"),
+      "| total tokens:", produced)
+print("The same text decoded token by token would take", produced, "attempts.")

@@ -14,25 +14,25 @@ Writes plot-ready long-format CSV next to this script.
 from pathlib import Path
 
 from copyspec import EngineConfig, Vocabulary, sweep, train_kgram
-from copyspec.corpus import load_transcripts, training_sequences
+from copyspec.corpus import ingest, load_transcripts
 
 HERE = Path(__file__).resolve().parent
 DATA = HERE.parent / "data"
 
 corpus = load_transcripts(DATA / "redundant_2turn.jsonl")
 vocab = Vocabulary()
-seqs = training_sequences(corpus, vocab)
+seqs, prompts = ingest(corpus, vocab)
 target = train_kgram(seqs, 4, vocab_size=len(vocab))
 config = EngineConfig(strategy="copy")
 
 print("match-window sweep (gamma 2..8):")
-gamma_sweep = sweep(corpus, vocab, target, None, config, "gamma", list(range(2, 9)))
+gamma_sweep = sweep(corpus, prompts, vocab, target, None, config, "gamma", list(range(2, 9)))
 print(f"{'gamma':<7}{'sim_tps':<10}{'%copied':<10}{'tau1':<8}{'attempts':<9}")
 for value, m, attempts in gamma_sweep.points:
     print(f"{value:<7}{m.sim_tps:<10.3f}{m.pct_copied:<10.3f}{m.tau1:<8.2f}{attempts:<9}")
 
 print("\nproposal-length sweep (chunk 5..100):")
-chunk_sweep = sweep(corpus, vocab, target, None, config, "chunk_len", [5, 10, 25, 50, 100])
+chunk_sweep = sweep(corpus, prompts, vocab, target, None, config, "chunk_len", [5, 10, 25, 50, 100])
 print(f"{'chunk':<7}{'sim_tps':<10}{'%copied':<10}{'tau1':<8}{'attempts':<9}")
 for value, m, attempts in chunk_sweep.points:
     print(f"{value:<7}{m.sim_tps:<10.3f}{m.pct_copied:<10.3f}{m.tau1:<8.2f}{attempts:<9}")

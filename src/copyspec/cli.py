@@ -247,7 +247,7 @@ def cmd_run(args) -> int:
     config = _engine_config(args)
     cost = _cost_model(args)
     echo = _config_echo(args)
-    runs = run_corpus(transcripts, vocab, target, draft, [config], cost, args.jobs, prompts)
+    runs = run_corpus(transcripts, prompts, vocab, target, draft, [config], cost, args.jobs)
 
     records = []
     by_turn: dict[int, list] = {}
@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
     axis = "gamma" if args.axis == "gamma" else "chunk_len"
     echo = _config_echo(args, {"axis": axis, "values": ",".join(map(str, args.values))})
 
-    result = sweep(transcripts, vocab, target, draft, config, axis, args.values, cost, args.jobs, prompts)
+    result = sweep(transcripts, prompts, vocab, target, draft, config, axis, args.values, cost, args.jobs)
     payload = {"config": echo, "sweep": result.to_dict()}
 
     if args.records_out:
@@ -340,23 +340,11 @@ def cmd_skipgram(args) -> int:
     return 0
 
 
-def _pool_rows(doc: dict) -> dict[tuple[str, int], dict]:
-    """(strategy, turn) -> pooled metric dict from one run file."""
-    from .metrics import RunMetrics
-
-    grouped: dict[tuple[str, int], list[RunMetrics]] = {}
-    for rec in doc["records"]:
-        key = (rec["strategy"], int(rec["turn"]))
-        metrics = RunMetrics(**{name: rec[name] for name in RunMetrics.__dataclass_fields__})
-        grouped.setdefault(key, []).append(metrics)
-    return {key: aggregate(ms).to_dict() for key, ms in grouped.items()}
-
-
 def cmd_report(args) -> int:
     docs = []
     for path in args.paths:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "records" not in doc or "config" not in doc:
+        if "aggregate" not in doc or "config" not in doc:
             raise RuntimeError(f"{path} is not a metrics file produced by `copyspec run`")
         docs.append(doc)
 
@@ -364,9 +352,12 @@ def cmd_report(args) -> int:
     if len(fingerprints) > 1:
         print("warning: metric files were produced from different corpora", file=sys.stderr)
 
-    rows: dict[tuple[str, int], dict] = {}
-    for doc in docs:
-        rows.update(_pool_rows(doc))
+    # a run file pools its turns in `aggregate.by_turn`, under its one strategy
+    rows = {
+        (doc["config"]["strategy"], int(turn)): vals
+        for doc in docs
+        for turn, vals in doc["aggregate"]["by_turn"].items()
+    }
 
     baseline = {turn: vals for (strategy, turn), vals in rows.items() if strategy == "baseline"}
     want_speedup = not args.no_speedup

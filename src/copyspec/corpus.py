@@ -252,12 +252,3 @@ def training_sequences(transcripts: list[Transcript], vocab: Vocabulary) -> list
     """One token sequence per transcript, growing ``vocab`` (:func:`ingest`)."""
     return ingest(transcripts, vocab)[0]
 
-
-def user_prompts(transcript: Transcript, vocab: Vocabulary) -> list[list[int]]:
-    """The prompt of each user turn, growing ``vocab``.
-
-    For callers that did not :func:`ingest` the corpus; once ``vocab``
-    holds the transcript's symbols, these are the prompts :func:`ingest`
-    gives.
-    """
-    return [turn_prefix_tokens(turn.text, vocab) for turn in transcript.user_turns()]

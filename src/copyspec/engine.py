@@ -20,27 +20,33 @@ every ``score_block`` call is either an attempt's target pass or one
 drafted token, and the models' ``blocks_scored`` and ``tokens_scored``
 equal what :func:`~copyspec.metrics.attempt_cost` charges.
 
-Each attempt appends its committed tokens to the context in place and
-extends the index (when copying) once over them; its record,
-:class:`AttemptOutcome`, is a slotted dataclass.
+A session fixes its proposers when it is made: it keeps a match index
+only when the strategy copies, and a draft model only when it drafts.
+A copy proposal is sliced straight from the context, starting gamma
+tokens after the position the index returns. Each attempt appends its
+committed tokens to the context in place and extends the index (when
+copying) once over them; it returns its record, :class:`AttemptOutcome`,
+a slotted dataclass, and :meth:`Session.run` collects a run's records.
 
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
 
 :func:`run_corpus` is the one corpus-run path: ``copyspec run`` calls it
 with one config, and :func:`sweep` with one config per gamma or chunk
-length. Both take the user-turn prompts of :func:`~copyspec.corpus.ingest`
-and hand them to each transcript's job, so generation never tokenizes.
-The process pool is imported only when ``jobs > 1``.
+length. Both require the user-turn prompts of
+:func:`~copyspec.corpus.ingest` and hand them to each transcript's job,
+so generation never tokenizes. The process pool is imported only when
+``jobs > 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import ceil
 
-from .corpus import EOT_ID, Transcript, Vocabulary, user_prompts
+from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
 from .lm import LangModel, greedy_extend
-from .match_index import MatchIndex, extract_chunk
+from .match_index import MatchIndex
 from .metrics import CostModel, RunMetrics, aggregate, score_log
 
 STRATEGIES = ("baseline", "copy", "specdec", "copy_plus_specdec")
@@ -108,17 +114,17 @@ class Session:
     The context may be extended across multiple generation runs (one per
     conversation turn); the match index persists and grows with it, so
     later turns can copy from everything that came before. Only copying
-    strategies keep an index: for the others ``index`` is None and the
-    context is never indexed.
+    strategies keep an index and only drafting ones a draft model: for
+    the others ``index`` or ``draft`` is None, so the context is never
+    indexed and a draft handed in is never fed.
     """
 
     def __init__(self, target: LangModel, draft: LangModel | None, config: EngineConfig):
         self.target = target
-        self.draft = draft
+        self.draft = draft if config.allows_draft else None
         self.config = config
         self.context: list[int] = []
         self.index = MatchIndex(gamma=config.gamma) if config.allows_copy else None
-        self.log: list[AttemptOutcome] = []
 
     def extend_context(self, tokens: list[int]) -> None:
         """Append prompt-side tokens: indexed (when copying) and fed to the model caches.
@@ -169,9 +175,7 @@ class Session:
         if self.index is not None:
             self.index.extend(context)
             index_ops += k + 1  # one insert per committed token
-        outcome = AttemptOutcome(source, n, k, bonus, bonus == EOT_ID, index_ops)
-        self.log.append(outcome)
-        return outcome
+        return AttemptOutcome(source, n, k, bonus, bonus == EOT_ID, index_ops)
 
     def step(self, remaining: int) -> AttemptOutcome:
         """One attempt: copy if a match exists, else draft, else plain.
@@ -186,18 +190,20 @@ class Session:
         if not self.context:
             raise ValueError("step needs a non-empty context to score after")
         cfg = self.config
+        context = self.context
         cap = remaining - 1  # room for proposed tokens; the bonus takes the last slot
         index_ops = 0
-        if cfg.allows_copy and cap >= 1 and len(self.context) >= 2 * cfg.gamma:
+        if self.index is not None and cap >= 1 and len(context) >= 2 * cfg.gamma:
             index_ops += 1
-            match = self.index.lookup(self.context)
-            if match is not None:
+            pos = self.index.lookup(context)
+            if pos is not None:
                 # a hit ends before the suffix starts, so the chunk is non-empty
-                chunk = extract_chunk(self.context, match, min(cfg.chunk_len, cap))
+                start = pos - 1 + cfg.gamma
+                chunk = context[start:start + min(cfg.chunk_len, cap)]
                 return self.verify_block(chunk, SOURCE_COPY, index_ops)
-        if cfg.allows_draft and self.draft is not None and cap >= 1:
-            unseen = self.context[self.draft.state_len:]
-            proposal = greedy_extend(self.draft, unseen, min(cfg.draft_len, cap))
+        draft = self.draft
+        if draft is not None and cap >= 1:
+            proposal = greedy_extend(draft, context[draft.state_len:], min(cfg.draft_len, cap))
             return self.verify_block(proposal, SOURCE_DRAFT, index_ops)
         return self.verify_block([], SOURCE_PLAIN, index_ops)
 
@@ -205,23 +211,21 @@ class Session:
         """Generate until end-of-text or the token budget is exhausted.
 
         Returns the emitted output (excluding the terminating end-of-text
-        sentinel, which stays in the context) and the attempt log of this
-        run. Committed tokens per attempt are accepted_k + 1, so the log
-        partitions everything committed, sentinel included.
+        sentinel, which stays in the context) and the outcomes of this
+        run's attempts. Committed tokens per attempt are accepted_k + 1, so
+        the outcomes partition everything committed, sentinel included.
         """
         budget = self.config.max_new_tokens if max_new_tokens is None else max_new_tokens
         start = len(self.context)
-        log_start = len(self.log)
+        outcomes: list[AttemptOutcome] = []
         produced = 0
-        ended_by_eot = False
         while produced < budget:
             outcome = self.step(budget - produced)
+            outcomes.append(outcome)
             produced += outcome.accepted_k + 1
             if outcome.hit_eot:
-                ended_by_eot = True
-                break
-        end = len(self.context) - 1 if ended_by_eot else len(self.context)
-        return self.context[start:end], self.log[log_start:]
+                return self.context[start:-1], outcomes
+        return self.context[start:], outcomes
 
 
 def generate(
@@ -266,11 +270,11 @@ def run_transcript(
     are ignored). The match index persists and grows across turns.
     ``prompts`` are the user turns' tokens from
     :func:`~copyspec.corpus.ingest`; without them the user turns are
-    tokenized here.
+    tokenized here, growing ``vocab``.
     """
     cost = cost or CostModel()
     if prompts is None:
-        prompts = user_prompts(transcript, vocab)
+        prompts = [turn_prefix_tokens(turn.text, vocab) for turn in transcript.user_turns()]
     session = Session(target, draft, config)
     results: list[TurnResult] = []
     for turn_no, prompt in enumerate(prompts, start=1):
@@ -309,32 +313,32 @@ def _run_configs(job):
 
 def run_corpus(
     transcripts: list[Transcript],
+    prompts: list[list[list[int]]],
     vocab: Vocabulary,
     target: LangModel,
     draft: LangModel | None,
     configs: list[EngineConfig],
     cost: CostModel | None = None,
     jobs: int = 1,
-    prompts: list[list[list[int]]] | None = None,
 ) -> list[tuple[str, str, list[list[tuple[int, RunMetrics]]]]]:
     """Run every transcript under every config; the one corpus-run path.
 
-    Returns, per transcript in corpus order, ``(id, category, runs)``
-    where ``runs[i]`` lists ``(turn, metrics)`` under ``configs[i]``.
-    Each transcript spawns its models once and is one job, which carries
-    the transcript's prompts (``prompts[i]``, from
-    :func:`~copyspec.corpus.ingest`; tokenized here once if not given):
-    with ``jobs > 1`` transcripts are spread over that many worker
-    processes, and the result does not depend on ``jobs``.
+    ``prompts[i]`` are the user-turn prompts of ``transcripts[i]``, from
+    :func:`~copyspec.corpus.ingest`. Returns, per transcript in corpus
+    order, ``(id, category, runs)`` where ``runs[i]`` lists
+    ``(turn, metrics)`` under ``configs[i]``. Each transcript spawns its
+    models once and is one job, which carries its prompts. With
+    ``jobs > 1`` the jobs are split into one chunk per worker process,
+    so each chunk pickles the model pair once; the result does not
+    depend on ``jobs``.
     """
-    if prompts is None:
-        prompts = [user_prompts(t, vocab) for t in transcripts]
     job_list = [(t, p, vocab, target, draft, configs, cost) for t, p in zip(transcripts, prompts)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_configs, job_list))
+            chunksize = max(1, ceil(len(job_list) / jobs))
+            return list(pool.map(_run_configs, job_list, chunksize=chunksize))
     return [_run_configs(job) for job in job_list]
 
 
@@ -364,6 +368,7 @@ class SweepResult:
 
 def sweep(
     corpus: list[Transcript],
+    prompts: list[list[list[int]]],
     vocab: Vocabulary,
     target: LangModel,
     draft: LangModel | None,
@@ -372,13 +377,13 @@ def sweep(
     values: list[int],
     cost: CostModel | None = None,
     jobs: int = 1,
-    prompts: list[list[list[int]]] | None = None,
 ) -> SweepResult:
     """Run the whole corpus once per value of ``axis``, all else fixed.
 
     The models are spawned once per transcript and truncated to the empty
     prefix between values, so results are identical to independent runs.
-    The prompts are tokenized once for all values (see :func:`run_corpus`).
+    ``prompts`` come from :func:`~copyspec.corpus.ingest` and serve every
+    value (see :func:`run_corpus`).
     Each point pools its turns in corpus order; ``runs`` keeps the
     per-transcript metrics behind the points.
     """
@@ -389,7 +394,7 @@ def sweep(
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("values must be strictly increasing")
     configs = [replace(base_config, **{axis: value}) for value in values]
-    runs = run_corpus(corpus, vocab, target, draft, configs, cost, jobs, prompts)
+    runs = run_corpus(corpus, prompts, vocab, target, draft, configs, cost, jobs)
     points = []
     for i, value in enumerate(values):
         pooled = aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])

@@ -8,30 +8,14 @@ overlaps the current suffix, every later one does too. The index only
 grows: ``extend`` is handed the whole context and reads the part past
 what it has already indexed. Positions are 1-based throughout this
 module: the gram starting at position q covers context[q .. q+gamma-1]
-inclusive.
+inclusive. A lookup returns only the position of the earlier
+occurrence; the tokens to copy start gamma places after it, and the
+engine slices them from the context itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
-
-
-class EmptyChunk(ValueError):
-    """The matched occurrence sits at the very end of the context; there is
-    nothing after it to copy."""
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """An earlier occurrence of the current gamma-token suffix.
-
-    ``source_pos`` is the 1-based start of the earlier occurrence;
-    ``copy_start`` = source_pos + gamma is where copying begins.
-    """
-
-    source_pos: int
-    copy_start: int
 
 
 class MatchIndex:
@@ -71,12 +55,13 @@ class MatchIndex:
         self.mix_ops += g * max(0, t - g + 2 - first_start)
         self.length = t
 
-    def lookup(self, context: Sequence[int]) -> MatchResult | None:
-        """Earliest occurrence of the last gamma tokens that does not overlap them.
+    def lookup(self, context: Sequence[int]) -> int | None:
+        """Where the last gamma tokens first occur without overlapping themselves.
 
         With t = len(context) and s = context[t-gamma+1 .. t], returns the
-        smallest indexed position p of s with p + gamma - 1 < t - gamma + 1;
-        None when no such occurrence exists.
+        smallest indexed 1-based position p of s with
+        p + gamma - 1 < t - gamma + 1; None when no such occurrence exists.
+        Copying starts at p + gamma, which is at most t.
         """
         self.lookups += 1
         g = self.gamma
@@ -87,18 +72,4 @@ class MatchIndex:
         pos = self.first.get(tuple(context[t - g:]))
         if pos is None or pos + g - 1 >= t - g + 1:
             return None
-        return MatchResult(source_pos=pos, copy_start=pos + g)
-
-
-def extract_chunk(context: Sequence[int], match: MatchResult, chunk_len: int) -> list[int]:
-    """Up to ``chunk_len`` tokens following the matched occurrence.
-
-    Truncates at the context end; raises :class:`EmptyChunk` when the match
-    ends the context and nothing follows it.
-    """
-    if chunk_len < 1:
-        raise ValueError(f"chunk_len must be >= 1, got {chunk_len}")
-    start = match.copy_start - 1  # to 0-based
-    if start >= len(context):
-        raise EmptyChunk(f"copy_start {match.copy_start} is past context length {len(context)}")
-    return list(context[start:start + chunk_len])
+        return pos

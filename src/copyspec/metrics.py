@@ -149,9 +149,6 @@ def speedup(metrics_a: RunMetrics, metrics_b: RunMetrics) -> float:
     return metrics_a.sim_tps / metrics_b.sim_tps
 
 
-METRIC_FIELDS = [f.name for f in fields(RunMetrics)]
-
-
 def metrics_record(
     transcript_id: str,
     category: str,

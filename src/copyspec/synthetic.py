@@ -39,7 +39,6 @@ import numpy as np
 from .corpus import Transcript, Turn, save_transcripts
 
 CORPUS_SEED = 1729
-CORPUS_NAMES = ("redundant-2turn", "novel-2turn", "selfcorrect-3turn")
 
 CATEGORIES = (
     "coding",

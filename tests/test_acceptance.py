@@ -20,7 +20,7 @@ from copyspec.analysis import (
     permutation_baseline,
     train_left_skipgram,
 )
-from copyspec.corpus import Vocabulary, load_transcripts, training_sequences
+from copyspec.corpus import Vocabulary, ingest, load_transcripts, training_sequences
 from copyspec.engine import EngineConfig, generate, run_transcript, sweep
 from copyspec.lm import train_kgram
 from copyspec.match_index import MatchIndex
@@ -103,11 +103,7 @@ def test_criterion_02_index_oracle_equivalence():
         context = [int(x) for x in rng.integers(0, int(rng.integers(2, 9)), size=length)]
         index = MatchIndex(gamma=gamma)
         index.extend(context)
-        got = index.lookup(context)
-        want = naive_match_scan(context, gamma)
-        assert (got.source_pos if got else None) == want
-        if got is not None:
-            assert got.copy_start == got.source_pos + gamma
+        assert index.lookup(context) == naive_match_scan(context, gamma)
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"index oracle run took {elapsed:.1f}s (budget 10s)"
@@ -209,8 +205,9 @@ def test_criterion_05_turn_structure(redundant_setup, novel_setup):
 
 def test_criterion_06_gamma_sweep_shape(redundant_setup):
     corpus, vocab, target, _ = redundant_setup
+    prompts = ingest(corpus, vocab)[1]  # the vocabulary already holds every symbol
     result = sweep(
-        corpus, vocab, target, None, EngineConfig(strategy="copy"), "gamma", list(range(2, 9))
+        corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "gamma", list(range(2, 9))
     )
     attempts = [a for _, _, a in result.points]
     taus = [m.tau1 for _, m, _ in result.points]
@@ -228,8 +225,9 @@ def test_criterion_06_gamma_sweep_shape(redundant_setup):
 def test_criterion_07_chunk_length_interior_optimum(redundant_setup):
     t0 = time.monotonic()
     corpus, vocab, target, _ = redundant_setup
+    prompts = ingest(corpus, vocab)[1]  # the vocabulary already holds every symbol
     result = sweep(
-        corpus, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50, 100]
+        corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50, 100]
     )
     tps = {v: m.sim_tps for v, m, _ in result.points}
     elapsed = time.monotonic() - t0
@@ -298,7 +296,7 @@ def _pipeline_metric_files(tmpdir):
 
     corpus = load_transcripts(DATA_DIR / "redundant_2turn.jsonl")
     vocab = Vocabulary()
-    seqs = training_sequences(corpus, vocab)
+    seqs, prompts = ingest(corpus, vocab)
     target = train_kgram(seqs, 4, vocab_size=len(vocab))
     draft = train_kgram(seqs, 2, vocab_size=len(vocab))
 
@@ -316,10 +314,10 @@ def _pipeline_metric_files(tmpdir):
     files["turns.json"] = turn_payload
 
     files["gamma_sweep.json"] = sweep(
-        corpus, vocab, target, None, EngineConfig(strategy="copy"), "gamma", list(range(2, 9))
+        corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "gamma", list(range(2, 9))
     ).to_dict()
     files["chunk_sweep.json"] = sweep(
-        corpus, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50, 100]
+        corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50, 100]
     ).to_dict()
     observed, mu, sd = _cs_stats()
     files["cs.json"] = {"observed": observed, "perm_mean": mu, "perm_sd": sd}

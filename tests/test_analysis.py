@@ -16,7 +16,7 @@ from copyspec.analysis import (
 from copyspec.engine import EngineConfig, run_transcript, sweep
 from copyspec.metrics import CostModel, aggregate
 from copyspec.synthetic import make_redundant_corpus
-from copyspec.corpus import Vocabulary, training_sequences
+from copyspec.corpus import Vocabulary, ingest, training_sequences
 from copyspec.lm import train_kgram
 
 
@@ -24,19 +24,19 @@ from copyspec.lm import train_kgram
 def small_setup():
     corpus = make_redundant_corpus(n=10, seed=77)
     vocab = Vocabulary()
-    seqs = training_sequences(corpus, vocab)
+    seqs, prompts = ingest(corpus, vocab)
     target = train_kgram(seqs, 4, vocab_size=len(vocab))
-    return corpus, vocab, target
+    return corpus, prompts, vocab, target
 
 
 def test_sweep_single_point_equals_direct_run(small_setup):
     # each point equals independent runs on fresh spawns, so no state can
     # leak between values through the models a transcript reuses
-    corpus, vocab, target = small_setup
+    corpus, prompts, vocab, target = small_setup
     draft = train_kgram(training_sequences(corpus, vocab), 2, vocab_size=len(vocab))
     values = [2, 3, 5]
     for strategy, draft_model in (("copy", None), ("copy_plus_specdec", draft)):
-        result = sweep(corpus, vocab, target, draft_model, EngineConfig(strategy=strategy), "gamma", values)
+        result = sweep(corpus, prompts, vocab, target, draft_model, EngineConfig(strategy=strategy), "gamma", values)
         assert [v for v, _, _ in result.points] == values
         for value, pooled, attempts in result.points:
             config = EngineConfig(gamma=value, strategy=strategy)
@@ -52,26 +52,27 @@ def test_sweep_single_point_equals_direct_run(small_setup):
 
 
 def test_sweep_validation(small_setup):
-    corpus, vocab, target = small_setup
+    corpus, prompts, vocab, target = small_setup
     config = EngineConfig(strategy="copy")
     with pytest.raises(ValueError):
-        sweep(corpus, vocab, target, None, config, "gamma", [])
+        sweep(corpus, prompts, vocab, target, None, config, "gamma", [])
     with pytest.raises(ValueError):
-        sweep(corpus, vocab, target, None, config, "gamma", [3, 3])
+        sweep(corpus, prompts, vocab, target, None, config, "gamma", [3, 3])
     with pytest.raises(ValueError):
-        sweep(corpus, vocab, target, None, config, "learning_rate", [1])
+        sweep(corpus, prompts, vocab, target, None, config, "learning_rate", [1])
 
 
 def test_gamma_sweep_attempts_non_increasing(small_setup):
-    corpus, vocab, target = small_setup
-    result = sweep(corpus, vocab, target, None, EngineConfig(strategy="copy"), "gamma", [2, 4, 6, 8])
+    corpus, prompts, vocab, target = small_setup
+    result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "gamma", [2, 4, 6, 8])
     attempts = [a for _, _, a in result.points]
     assert all(b <= a for a, b in zip(attempts, attempts[1:]))
 
 
 def test_chunk_sweep_interior_peak_on_shipped_corpus(redundant_setup):
     corpus, vocab, target, _ = redundant_setup
-    result = sweep(corpus, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50])
+    prompts = ingest(corpus, vocab)[1]  # the vocabulary already holds every symbol
+    result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50])
     tps = {v: m.sim_tps for v, m, _ in result.points}
     assert tps[10] > tps[5] and tps[10] > tps[50]
 
@@ -81,24 +82,24 @@ def test_chunk_sweep_interior_peak_on_short_runs():
     # bigger proposals only add rejected-token cost
     corpus = make_redundant_corpus(n=12, seed=5, body_range=(40, 56), tail_range=(6, 11))
     vocab = Vocabulary()
-    seqs = training_sequences(corpus, vocab)
+    seqs, prompts = ingest(corpus, vocab)
     target = train_kgram(seqs, 4, vocab_size=len(vocab))
-    result = sweep(corpus, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50])
+    result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50])
     tps = {v: m.sim_tps for v, m, _ in result.points}
     assert tps[10] > tps[5] and tps[10] > tps[50]
 
 
 def test_sweep_determinism(small_setup):
-    corpus, vocab, target = small_setup
+    corpus, prompts, vocab, target = small_setup
     config = EngineConfig(strategy="copy")
-    a = sweep(corpus, vocab, target, None, config, "gamma", [2, 3])
-    b = sweep(corpus, vocab, target, None, config, "gamma", [2, 3])
+    a = sweep(corpus, prompts, vocab, target, None, config, "gamma", [2, 3])
+    b = sweep(corpus, prompts, vocab, target, None, config, "gamma", [2, 3])
     assert a == b
 
 
 def test_sweep_long_rows_shape(small_setup):
-    corpus, vocab, target = small_setup
-    result = sweep(corpus, vocab, target, None, EngineConfig(strategy="copy"), "gamma", [2, 3])
+    corpus, prompts, vocab, target = small_setup
+    result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "gamma", [2, 3])
     rows = result.long_rows()
     assert ({v for v, _, _ in rows} == {2, 3}) and any(name == "sim_tps" for _, name, _ in rows)
 

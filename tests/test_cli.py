@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import copyspec
 from copyspec.cli import _build_models, _load_corpus, build_parser, main
+from copyspec.lm import KgramLM
 from copyspec.metrics import RunMetrics, aggregate
 from copyspec.synthetic import make_redundant_corpus
 from copyspec.corpus import load_transcripts, save_transcripts
@@ -82,6 +84,24 @@ def test_jobs_parallelism_is_order_stable(small_corpus_path, tmp_path):
             assert run_cli(*argv, "--jobs", jobs, "--out", out, *extra) == 0
             outputs[jobs] = [out.read_bytes()] + ([records.read_bytes()] if extra else [])
         assert outputs["1"] == outputs["2"]
+
+
+def test_jobs_pickle_each_model_once_per_worker(small_corpus_path, tmp_path, monkeypatch):
+    # the jobs go out in one chunk per worker, and pickling a chunk writes
+    # the shared model pair once, so the parent pickles each model at most
+    # once per worker rather than once per transcript
+    pickled = Counter()
+    getstate = KgramLM.__getstate__
+
+    def counted(self):
+        pickled[id(self)] += 1
+        return getstate(self)
+
+    monkeypatch.setattr(KgramLM, "__getstate__", counted)
+    argv = ["run", "--corpus", small_corpus_path, "--strategy", "copy+specdec", "--jobs", "2"]
+    assert run_cli(*argv, "--out", tmp_path / "m.json") == 0
+    assert len(pickled) == 2  # the target and the draft
+    assert max(pickled.values()) <= 2, pickled
 
 
 def _count_calls(monkeypatch, module, name):
@@ -284,6 +304,22 @@ def test_report_warns_on_corpus_mismatch(small_corpus_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "different corpora" in captured.err
     assert "copy" in captured.out  # rows still printed
+
+
+def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, capsys):
+    # report reads each run file's pooled `aggregate`; a sweep file, or a
+    # run file stripped of it, is not a run's metrics file
+    run_file, sweep_file = tmp_path / "run.json", tmp_path / "sweep.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", run_file)
+    run_cli("sweep", "--corpus", small_corpus_path, "--axis", "gamma", "--values", "2,3", "--out", sweep_file)
+    stripped = tmp_path / "stripped.json"
+    doc = json.loads(run_file.read_text())
+    del doc["aggregate"]
+    stripped.write_text(json.dumps(doc))
+    for path in (sweep_file, stripped):
+        capsys.readouterr()
+        assert run_cli("report", run_file, path) == 1
+        assert "not a metrics file produced by `copyspec run`" in capsys.readouterr().err
 
 
 def test_report_markdown_output(small_corpus_path, tmp_path):

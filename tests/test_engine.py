@@ -16,7 +16,7 @@ from copyspec.lm import TableLM
 from copyspec.match_index import MatchIndex
 from copyspec.metrics import CostModel, score_log
 
-from oracles import fresh_argmax, greedy_reference, random_kgram_lm, random_table_lm
+from oracles import fresh_argmax, greedy_reference, naive_match_scan, random_kgram_lm, random_table_lm
 
 
 def chain_table(words, vocab_size, order=2, fallback=0):
@@ -165,9 +165,10 @@ def test_progress_and_accounting_invariants():
             assert o.accepted_k + 1 >= 1
             assert 0 <= o.accepted_k <= max(o.proposed, 0)
         # cache alignment after the run: the target holds everything but
-        # the pending bonus, the draft holds some prefix of the context
+        # the pending bonus, the draft (kept only when drafting) holds some
+        # prefix of the context
         assert session.target.state == tuple(session.context[:-1])
-        assert session.draft.state == tuple(session.context[: session.draft.state_len])
+        assert_draft_prefix(session)
 
 
 def test_rollback_equivalence_replay():
@@ -188,6 +189,30 @@ def test_generate_requires_prompt():
         generate([], TableLM(2, 1, {}, 0))
     with pytest.raises(ValueError):  # an empty prefix has no after-position score
         Session(TableLM(2, 1, {}, 0), None, EngineConfig()).step(1)
+
+
+def assert_draft_prefix(session):
+    """A drafting session's draft holds a prefix of the context; any other
+    session keeps no draft, even when one was handed in."""
+    if not session.config.allows_draft:
+        assert session.draft is None
+    else:
+        assert session.draft.state == tuple(session.context[: session.draft.state_len])
+
+
+def assert_copy_lengths(session, start, budget, log):
+    """Each attempt copies exactly when the naive scan finds a match and
+    there is room for a proposal, and it proposes the tokens after the
+    match, cut at the chunk length, the budget and the context end."""
+    gamma = session.config.gamma
+    t = start  # context length before the attempt
+    for o in log:
+        room = budget - (t - start) - 1
+        p = naive_match_scan(session.context[:t], gamma) if session.index is not None else None
+        assert (o.source == "copy") == (p is not None and room >= 1)
+        if o.source == "copy":
+            assert o.proposed == min(session.config.chunk_len, room, t - (p - 1 + gamma))
+        t += o.accepted_k + 1
 
 
 def model_calls(session):
@@ -430,9 +455,10 @@ def test_session_interleavings_match_greedy_and_accounting(case):
             session.extend_context(op)
         else:
             expected = greedy_reference(target, session.context, op)
-            before = model_calls(session)
+            before, start = model_calls(session), len(session.context)
             out, log = session.run(op)
             assert out == expected
             assert_run_accounting(before, model_calls(session), log)
+            assert_copy_lengths(session, start, op, log)
         assert session.target.state == tuple(session.context[:-1])
-        assert session.draft.state == tuple(session.context[: session.draft.state_len])
+        assert_draft_prefix(session)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyspec.match_index import EmptyChunk, MatchIndex, MatchResult, extract_chunk
+from copyspec.match_index import MatchIndex
 
 from oracles import naive_first_positions, naive_match_scan
 
@@ -53,7 +53,7 @@ def test_lookup_earliest_nonoverlapping():
     context = [1, 2, 3, 4, 1, 2, 3]
     index = build_index(context, gamma=3)
     assert naive_match_scan(context, 3) == 1
-    assert index.lookup(context) == MatchResult(source_pos=1, copy_start=4)
+    assert index.lookup(context) == 1
 
 
 def test_lookup_overlap_excluded():
@@ -67,7 +67,7 @@ def test_lookup_degenerate_repetition():
     context = [5, 5, 5, 5, 5, 5]
     index = build_index(context, gamma=2)
     assert naive_match_scan(context, 2) == 1
-    assert index.lookup(context) == MatchResult(source_pos=1, copy_start=3)
+    assert index.lookup(context) == 1
 
 
 def test_lookup_short_context_returns_none():
@@ -83,9 +83,7 @@ def test_randomized_oracle_equivalence():
         length = int(rng.integers(gamma, 201))
         context = [int(x) for x in rng.integers(0, alphabet, size=length)]
         index = build_index(context, gamma)
-        got = index.lookup(context)
-        want = naive_match_scan(context, gamma)
-        assert (got.source_pos if got else None) == want
+        assert index.lookup(context) == naive_match_scan(context, gamma)
 
 
 @st.composite
@@ -105,13 +103,11 @@ def test_chunked_extend_lookups_match_naive_scan(case):
     for hi in bounds[1:]:
         prefix = context[:hi]
         index.extend(prefix)
-        got = index.lookup(prefix)
-        assert (got.source_pos if got else None) == naive_match_scan(prefix, gamma)
-        if got is not None:
-            p = got.source_pos
+        p = index.lookup(prefix)
+        assert p == naive_match_scan(prefix, gamma)
+        if p is not None:
             assert prefix[p - 1:p - 1 + gamma] == prefix[-gamma:]
-            assert got.copy_start == p + gamma <= len(prefix)
-            assert extract_chunk(prefix, got, 1) == [prefix[got.copy_start - 1]]
+            assert p + gamma <= len(prefix)  # something follows the occurrence to copy
     assert index.first == naive_first_positions(context, gamma)
     assert index.length == len(context)
 
@@ -139,20 +135,6 @@ def test_mixing_work_is_context_length_independent():
     assert added_short == added_long == 3  # one gram hashed, gamma mixes
 
 
-def test_extract_chunk_truncates_at_context_end():
-    context = [1, 2, 3, 4, 1, 2, 3]
-    match = MatchResult(source_pos=1, copy_start=4)
-    assert extract_chunk(context, match, 10) == [4, 1, 2, 3]
-    assert extract_chunk(context, match, 1) == [4]
-
-
-def test_extract_chunk_empty_raises():
-    with pytest.raises(EmptyChunk):
-        extract_chunk([1, 2, 3], MatchResult(source_pos=1, copy_start=4), 5)
-
-
 def test_gamma_validation():
     with pytest.raises(ValueError):
         MatchIndex(gamma=0)
-    with pytest.raises(ValueError):
-        extract_chunk([1, 2, 3], MatchResult(1, 2), 0)
