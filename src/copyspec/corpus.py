@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 EOT_SYMBOL = "<eot>"
 EOT_ID = 0
 USER_TAG = "<user>"
 ASSISTANT_TAG = "<assistant>"
-
-_TRAILING_PUNCT = ".,;:!?"
-
 
 class UnknownSymbol(KeyError):
     """A symbol is absent from the vocabulary and growth is disabled."""
@@ -54,7 +53,10 @@ class Vocabulary:
     """Append-only symbol table.
 
     Ids are assigned in first-seen order and never change within a session.
-    Id 0 is always the reserved end-of-text symbol.
+    Id 0 is always the reserved end-of-text symbol. The table is the dict
+    ``_ids``, which :func:`tokenize` grows directly; ``_symbols`` lists its
+    keys in id order and catches up on the ones added since (by reading
+    only those, from the dict's end) whenever an id past its end is read.
     """
 
     def __init__(self, symbols: list[str] | None = None):
@@ -66,23 +68,20 @@ class Vocabulary:
                 self.add(sym)
 
     def __len__(self) -> int:
-        return len(self._symbols)
+        return len(self._ids)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._ids
 
     @property
     def symbols(self) -> tuple[str, ...]:
+        self._catch_up()
         return tuple(self._symbols)
 
     def add(self, symbol: str) -> int:
         """Return the id of ``symbol``, appending it if unseen."""
-        tid = self._ids.get(symbol)
-        if tid is None:
-            tid = len(self._symbols)
-            self._symbols.append(symbol)
-            self._ids[symbol] = tid
-        return tid
+        ids = self._ids
+        return ids.setdefault(symbol, len(ids))
 
     def id_of(self, symbol: str) -> int:
         tid = self._ids.get(symbol)
@@ -91,9 +90,18 @@ class Vocabulary:
         return tid
 
     def symbol_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self._symbols):
-            raise InvalidTokenId(token_id)
-        return self._symbols[token_id]
+        symbols = self._symbols
+        if not 0 <= token_id < len(symbols):
+            self._catch_up()
+            if not 0 <= token_id < len(symbols):
+                raise InvalidTokenId(token_id)
+        return symbols[token_id]
+
+    def _catch_up(self) -> None:
+        """Append to ``_symbols`` the symbols added to ``_ids`` since it last grew."""
+        added = len(self._ids) - len(self._symbols)
+        if added:
+            self._symbols += reversed(list(islice(reversed(self._ids), added)))
 
 
 @dataclass(frozen=True)
@@ -125,16 +133,8 @@ def _check_roles(turns: tuple[Turn, ...]) -> None:
             raise BadRoleSequence(f"roles must alternate, got {prev.role!r} then {cur.role!r}")
 
 
-def _split_words(text: str) -> list[str]:
-    words: list[str] = []
-    for raw in text.split():
-        peeled: list[str] = []
-        while len(raw) > 1 and raw[-1] in _TRAILING_PUNCT:
-            peeled.append(raw[-1])
-            raw = raw[:-1]
-        words.append(raw)
-        words.extend(reversed(peeled))
-    return words
+# a word keeps interior punctuation; trailing punctuation peels off one mark at a time
+_split_words = re.compile(r"\S*[^\s.,;:!?]|\S").findall
 
 
 def tokenize(text: str, vocab: Vocabulary, grow: bool = False) -> list[int]:
@@ -145,7 +145,8 @@ def tokenize(text: str, vocab: Vocabulary, grow: bool = False) -> list[int]:
     :class:`UnknownSymbol`.
     """
     if grow:
-        return [vocab.add(w) for w in _split_words(text)]
+        ids = vocab._ids
+        return [ids.setdefault(w, len(ids)) for w in _split_words(text)]
     return [vocab.id_of(w) for w in _split_words(text)]
 
 

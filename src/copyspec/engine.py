@@ -8,17 +8,21 @@ may propose tokens. Verification accepts the longest prefix matching the
 target's argmax and always yields one extra guaranteed token from the
 target, which diverges from the first rejected token and so prevents
 repeated failed attempts at the same spot. Rejected tokens are rolled
-back by truncating the model caches to the accepted prefix.
+back by truncating the model caches to the accepted prefix; a plain step
+or a fully accepted proposal has nothing to roll back and truncates
+nothing.
 
 Each model cache holds a prefix of the context. The newest committed
 token stays unseen (pending) until the next attempt scores it together
 with the proposal, so every attempt makes exactly one target pass, as
 the cost model charges. Context whose predictions nobody reads is fed to
 a cache unscored: each prompt, to both models when it is added, and the
-draft's catch-up on context it has not seen, at its next proposal. So
-every ``score_block`` call is either an attempt's target pass or one
-drafted token, and the models' ``blocks_scored`` and ``tokens_scored``
-equal what :func:`~copyspec.metrics.attempt_cost` charges.
+draft's catch-up on context it has not seen, at its next proposal. A
+draft proposal is one ``score_block`` call that continues greedily
+(:func:`~copyspec.lm.greedy_extend`) and counts one pass per drafted
+token. So the models' ``blocks_scored`` and ``tokens_scored`` equal what
+:func:`~copyspec.metrics.attempt_cost` charges: one target pass per
+attempt, one draft pass per drafted token.
 
 A session fixes its proposers when it is made: it keeps a match index
 only when the strategy copies, and a draft model only when it drafts.
@@ -149,8 +153,9 @@ class Session:
         Accepts the longest prefix of the proposal matching the target's
         argmax. The pass yields proposed+1 predictions, so the bonus comes
         from the same call whether the proposal is rejected or fully
-        accepted; an empty proposal is a plain step. The committed bonus
-        stays pending in both caches.
+        accepted; an empty proposal is a plain step. Only a rejection
+        truncates, rolling the caches back to the accepted prefix. The
+        committed bonus stays pending in both caches.
         """
         context = self.context
         target = self.target
@@ -165,12 +170,15 @@ class Session:
                 break
             k += 1
         bonus = scores[off + k]
-        keep = t + k
-        target.truncate(keep)
-        draft = self.draft
-        if draft is not None and draft.state_len > keep:
-            draft.truncate(keep)
-        context += proposal[:k]
+        if k < n:
+            keep = t + k
+            target.truncate(keep)
+            draft = self.draft
+            if draft is not None and draft.state_len > keep:
+                draft.truncate(keep)
+            context += proposal[:k]
+        else:
+            context += proposal
         context.append(bonus)
         if self.index is not None:
             self.index.extend(context)

@@ -5,6 +5,8 @@ tensors). ``score_block`` appends a block to the cache and returns, for
 each position i of the block, the argmax next token *after* the cached
 prefix plus ``block[:i+1]``, as the logits of a real forward pass do; so
 the last entry predicts the token that follows the whole block.
+``score_block(block, then=n)`` goes on to append and score its own last
+argmax n times, the greedy continuation a draft proposal needs.
 ``feed`` appends tokens whose predictions nobody reads (a prompt, the
 draft's catch-up) without scoring them, and ``truncate`` rolls the cache
 back to a shorter prefix. Scoring is a pure function of the prefix: any
@@ -12,8 +14,9 @@ sequence of feeds, appends and truncations that leaves the same prefix
 scores identically to a fresh model fed that prefix. Every token's range
 is checked; a block or a feed holding a token outside the vocabulary is
 rejected, leaving the cache and the counters as they were.
-``blocks_scored`` and ``tokens_scored`` count scoring calls and the
-tokens they score, ``tokens_fed`` the tokens fed.
+``blocks_scored`` and ``tokens_scored`` count scoring passes (a block,
+and each continuation step) and the tokens they score, ``tokens_fed``
+the tokens fed.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
@@ -75,13 +78,18 @@ class LangModel:
     def state(self) -> tuple[int, ...]:
         return tuple(self._state)
 
-    def score_block(self, block: Sequence[int]) -> list[int]:
+    def score_block(self, block: Sequence[int], then: int = 0) -> list[int]:
         """Append the block; return the argmax after each block position.
 
         Entry i is the argmax given (cached prefix + block[:i+1]), so the
         last entry is the token that follows the whole block. One call
-        models a single parallel forward pass over the whole block. A
-        token outside the vocabulary raises :class:`InvalidToken` after
+        models a single parallel forward pass over the whole block. With
+        ``then`` > 0 the greedy continuation follows in the same call:
+        ``then`` times, the last argmax is appended and scored, so the
+        result has ``len(block) + then`` entries and its last is not
+        appended. Each continuation step is a pass of its own (it reads
+        the argmax before it) and is counted as one block of one token.
+        A token outside the vocabulary raises :class:`InvalidToken` after
         the tokens appended before it are deleted again.
         """
         if not block:
@@ -100,6 +108,17 @@ class LangModel:
             # a prefix shorter than order gives a short key, never in the top table
             nxt = top(tuple(state[-order:]))
             out.append(self._backoff(state) if nxt is None else nxt)
+        if then:  # a draft's continuation; an empty loop would still cost every target call
+            for _ in range(then):
+                tok = out[-1]
+                if not 0 <= tok < vocab_size:
+                    del state[start:]
+                    raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
+                state.append(tok)
+                nxt = top(tuple(state[-order:]))
+                out.append(self._backoff(state) if nxt is None else nxt)
+            self.blocks_scored += then
+            self.tokens_scored += then
         self.blocks_scored += 1
         self.tokens_scored += len(block)
         return out
@@ -152,21 +171,16 @@ def greedy_extend(model: LangModel, unseen: Sequence[int], n: int) -> list[int]:
 
     ``unseen`` is the non-empty context the model has not seen yet. All of
     it but its last token is fed unscored, since only the prediction after
-    the whole of it is read. Then exactly n one-token ``score_block``
-    calls follow: the first scores the last unseen token and each later
-    one the previous drafted token, so each choice conditions on the ones
-    before it. The last drafted token is returned but not fed.
+    the whole of it is read. Then one ``score_block`` call scores the last
+    unseen token and continues greedily for ``n - 1`` more tokens, so each
+    choice conditions on the ones before it; it counts one block and one
+    token per drafted token. The last drafted token is returned but not
+    fed.
     """
-    block = unseen
     if len(unseen) > 1:
         model.feed(unseen[:-1])
-        block = unseen[-1:]
-    out: list[int] = []
-    for _ in range(n):
-        nxt = model.score_block(block)[-1]
-        out.append(nxt)
-        block = [nxt]
-    return out
+        unseen = unseen[-1:]
+    return model.score_block(unseen, then=n - 1)
 
 
 class TableLM(LangModel):

@@ -48,11 +48,15 @@ class MatchIndex:
         if t < self.length:
             raise ValueError(f"index covers {self.length} tokens; context has only {t}")
         g = self.gamma
-        first_start = max(1, self.length - g + 2)  # 1-based start of the first new gram
-        setdefault = self.first.setdefault
-        for start in range(first_start, t - g + 2):
-            setdefault(tuple(context[start - 1:start - 1 + g]), start)
-        self.mix_ops += g * max(0, t - g + 2 - first_start)
+        begin = self.length - g + 1  # 0-based start of the first new gram
+        if begin < 0:
+            begin = 0
+        end = t - g + 1  # one past the 0-based start of the last gram
+        if end > begin:
+            setdefault = self.first.setdefault
+            for i in range(begin, end):
+                setdefault(tuple(context[i:i + g]), i + 1)
+            self.mix_ops += g * (end - begin)
         self.length = t
 
     def lookup(self, context: Sequence[int]) -> int | None:

@@ -110,19 +110,26 @@ def score_log(log: Sequence["AttemptOutcome"], cost: CostModel | None = None) ->
     if not log:
         raise EmptyLog("cannot score an empty attempt log")
     cost = cost or CostModel()
+    # attempt_cost inlined, its terms added in the same order, so sim_time keeps its bits
+    pass_cost, per_token = cost.target_pass_cost, cost.target_per_token_cost
+    draft_cost, index_cost = cost.draft_token_cost, cost.index_op_cost
     tokens_out = copied = copy_attempts = draft_attempts = draft_accepted = plain_steps = 0
     sim_time = 0.0
     for o in log:
-        tokens_out += o.accepted_k + 1
-        if o.source == "copy":
+        k = o.accepted_k
+        tokens_out += k + 1
+        time = pass_cost + per_token * (o.proposed + 1)
+        source = o.source
+        if source == "copy":
             copy_attempts += 1
-            copied += o.accepted_k
-        elif o.source == "draft":
+            copied += k
+        elif source == "draft":
             draft_attempts += 1
-            draft_accepted += o.accepted_k
+            draft_accepted += k
+            time += draft_cost * o.proposed
         else:
             plain_steps += 1
-        sim_time += attempt_cost(o, cost)
+        sim_time += time + index_cost * o.index_ops
     return _derive(tokens_out, copied, copy_attempts, draft_attempts, draft_accepted, plain_steps, sim_time)
 
 

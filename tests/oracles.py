@@ -4,15 +4,30 @@ Everything here deliberately avoids the implementation paths it checks:
 the match oracle is a naive full scan, the greedy reference drives the
 model interface token by token without the engine, the metrics oracle
 re-aggregates raw logs from scratch, and the transcript assembly
-tokenizes word by word without the corpus's ingest pass.
+tokenizes word by word, splitting with a punctuation-peeling loop,
+without the corpus's ingest pass or its tokenizer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from copyspec.corpus import ASSISTANT_TAG, EOT_ID, USER_TAG, tokenize
+from copyspec.corpus import ASSISTANT_TAG, EOT_ID, USER_TAG
 from copyspec.lm import KgramLM, LangModel, TableLM, train_kgram
+
+
+def peel_split_words(text):
+    """Split on whitespace, then peel trailing ``.,;:!?`` off each word
+    one mark at a time, keeping a word's last character."""
+    words = []
+    for raw in text.split():
+        peeled = []
+        while len(raw) > 1 and raw[-1] in ".,;:!?":
+            peeled.append(raw[-1])
+            raw = raw[:-1]
+        words.append(raw)
+        words.extend(reversed(peeled))
+    return words
 
 
 def assemble_transcript_tokens(transcript, vocab):
@@ -22,10 +37,10 @@ def assemble_transcript_tokens(transcript, vocab):
     for turn in transcript.turns:
         if turn.role == "user":
             toks.append(vocab.add(USER_TAG))
-            toks += tokenize(turn.text, vocab, grow=True)
+            toks += [vocab.add(w) for w in peel_split_words(turn.text)]
             toks.append(vocab.add(ASSISTANT_TAG))
         else:
-            toks += tokenize(turn.text, vocab, grow=True)
+            toks += [vocab.add(w) for w in peel_split_words(turn.text)]
             toks.append(EOT_ID)
     return toks
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from copyspec.corpus import (
     turn_prefix_tokens,
 )
 
-from oracles import assemble_transcript_tokens
+from oracles import assemble_transcript_tokens, peel_split_words
 
 
 def test_reserved_end_of_text():
@@ -102,6 +103,38 @@ def test_whitespace_normalization(words, sep):
     vocab = Vocabulary()
     out = detokenize(tokenize(text, vocab, grow=True), vocab)
     assert out == " ".join(text.split())
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the tokenizer splits with re's \s, the peeling oracle with str.split()
+    every_code_point = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every_code_point) == [c for c in every_code_point if c.isspace()]
+
+
+_SPACE = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 \t\n"
+_PUNCT_AND_SPACE_TEXT = st.lists(
+    st.one_of(
+        st.text(alphabet=".,;:!?", min_size=1, max_size=4),  # punctuation runs
+        st.text(alphabet=_SPACE, min_size=1, max_size=3),
+        st.sampled_from(["a", "bc", "é", "x.y", "<eot>", "-", "'"]),
+    ),
+    max_size=16,
+).map("".join)
+
+
+@given(texts=st.lists(st.one_of(_PUNCT_AND_SPACE_TEXT, st.text(max_size=20)), min_size=1, max_size=4))
+def test_tokenize_splits_like_the_peeling_oracle(texts):
+    vocab, reference = Vocabulary(), Vocabulary()
+    for text in texts:
+        ids = tokenize(text, vocab, grow=True)
+        assert ids == [reference.add(w) for w in peel_split_words(text)]
+        # the symbol list catches up on what tokenize added to the table
+        assert [vocab.symbol_of(i) for i in ids] == peel_split_words(text)
+        assert len(vocab) == len(reference)
+    assert vocab.symbols == reference.symbols
+    assert [vocab.id_of(sym) for sym in vocab.symbols] == list(range(len(vocab)))
+    with pytest.raises(InvalidTokenId):
+        vocab.symbol_of(len(vocab))
 
 
 def test_vocab_growth_append_only():

@@ -12,7 +12,7 @@ from copyspec.engine import (
     generate,
     run_transcript,
 )
-from copyspec.lm import TableLM
+from copyspec.lm import LangModel, TableLM
 from copyspec.match_index import MatchIndex
 from copyspec.metrics import CostModel, score_log
 
@@ -164,11 +164,7 @@ def test_progress_and_accounting_invariants():
         for o in log:
             assert o.accepted_k + 1 >= 1
             assert 0 <= o.accepted_k <= max(o.proposed, 0)
-        # cache alignment after the run: the target holds everything but
-        # the pending bonus, the draft (kept only when drafting) holds some
-        # prefix of the context
-        assert session.target.state == tuple(session.context[:-1])
-        assert_draft_prefix(session)
+        assert_cache_invariants(session)
 
 
 def test_rollback_equivalence_replay():
@@ -189,6 +185,13 @@ def test_generate_requires_prompt():
         generate([], TableLM(2, 1, {}, 0))
     with pytest.raises(ValueError):  # an empty prefix has no after-position score
         Session(TableLM(2, 1, {}, 0), None, EngineConfig()).step(1)
+
+
+def assert_cache_invariants(session):
+    """The target holds everything but the pending newest token; the
+    draft (kept only when drafting) holds some prefix of the context."""
+    assert session.target.state == tuple(session.context[:-1])
+    assert_draft_prefix(session)
 
 
 def assert_draft_prefix(session):
@@ -450,6 +453,14 @@ def sessions(draw):
 def test_session_interleavings_match_greedy_and_accounting(case):
     target, draft, config, ops = case
     session = Session(target.spawn(), draft.spawn(), config)
+    step = session.step
+
+    def checked_step(remaining):  # run() calls this per attempt
+        outcome = step(remaining)
+        assert_cache_invariants(session)
+        return outcome
+
+    session.step = checked_step
     for op in ops:
         if isinstance(op, list):
             session.extend_context(op)
@@ -460,5 +471,38 @@ def test_session_interleavings_match_greedy_and_accounting(case):
             assert out == expected
             assert_run_accounting(before, model_calls(session), log)
             assert_copy_lengths(session, start, op, log)
-        assert session.target.state == tuple(session.context[:-1])
-        assert_draft_prefix(session)
+        assert_cache_invariants(session)
+
+
+def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
+    corpus, vocab, target, draft = redundant_setup
+    truncated = []  # (model, keep) per truncate call
+    truncate, step = LangModel.truncate, Session.step
+    kinds = set()
+
+    def counted_truncate(self, keep_len):
+        truncated.append((self, keep_len))
+        truncate(self, keep_len)
+
+    def checked_step(self, remaining):
+        truncated.clear()
+        t = len(self.context)
+        o = step(self, remaining)
+        to_target = [keep for model, keep in truncated if model is self.target]
+        to_draft = [keep for model, keep in truncated if model is self.draft]
+        if o.accepted_k < o.proposed:  # partly rejected: one rollback to t + k
+            kinds.add("rejected")
+            assert to_target == [t + o.accepted_k]
+            assert to_draft in ([], [t + o.accepted_k])
+        else:  # a plain step or a fully accepted proposal has nothing to undo
+            kinds.add(o.source if o.proposed == 0 else "accepted")
+            assert to_target == to_draft == []
+        assert len(truncated) == len(to_target) + len(to_draft)
+        return o
+
+    monkeypatch.setattr(LangModel, "truncate", counted_truncate)
+    monkeypatch.setattr(Session, "step", checked_step)
+    for strategy in STRATEGIES:
+        for transcript in corpus[:4]:
+            run_transcript(transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy))
+    assert kinds == {"plain", "accepted", "rejected"}

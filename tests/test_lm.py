@@ -144,6 +144,18 @@ def test_rejected_block_changes_nothing(model):
     assert model.score_block([1, 2]) == [fresh_argmax(model, [1, 2, 3, 1]), fresh_argmax(model, [1, 2, 3, 1, 2])]
 
 
+def test_continuation_past_the_vocabulary_changes_nothing():
+    # 1 -> 2 -> 9: the second continuation step would append 9
+    model = TableLM(vocab_size=4, order=1, table={(1,): 2, (2,): 9}, fallback=1)
+    model.score_block([3])
+    before = (model.state, model.blocks_scored, model.tokens_scored)
+    with pytest.raises(InvalidToken):
+        model.score_block([1], then=2)
+    assert (model.state, model.blocks_scored, model.tokens_scored) == before
+    assert model.score_block([1], then=1) == [2, 9]  # the last argmax is not appended
+    assert model.state == (3, 1, 2)
+
+
 def test_counters():
     model = TableLM(vocab_size=5, order=1, table={}, fallback=2)
     model.score_block([1, 2])
@@ -168,14 +180,21 @@ def test_random_interleavings_match_fresh_model():
 
 def test_greedy_extend_conditions_on_own_tokens():
     model = TableLM(vocab_size=6, order=1, table={(1,): 2, (2,): 3, (3,): 4}, fallback=5)
+    calls = []  # a proposal makes at most one feed and exactly one score_block call
+    for name in ("feed", "score_block"):
+        method = getattr(model, name)
+        setattr(model, name, lambda *a, _m=method, _n=name, **kw: calls.append(_n) or _m(*a, **kw))
     assert greedy_extend(model, [1], 3) == [2, 3, 4]
     assert model.state == (1, 2, 3)  # the last drafted token is not fed
-    assert model.blocks_scored == 3  # one call per drafted token
+    assert model.blocks_scored == 3  # one pass counted per drafted token
+    assert calls == ["score_block"]
     # catching up on unseen context feeds all of it but the last token unscored
     model.truncate(0)
+    calls.clear()
     assert greedy_extend(model, [4, 5, 1], 2) == [2, 3]
     assert model.state == (4, 5, 1, 2) and model.tokens_fed == 2
     assert model.blocks_scored == 5 and model.tokens_scored == 5
+    assert calls == ["feed", "score_block"]
 
 
 def test_persistence_round_trip(tmp_path):
@@ -310,7 +329,8 @@ def test_lazy_model_dumps_every_order(tmp_path):
 @st.composite
 def model_and_ops(draw):
     """A TableLM or KgramLM over a small vocabulary and a random run of feeds,
-    scored blocks and truncations (a truncation keeps a fraction of the cache)."""
+    scored blocks, blocks scored with a greedy continuation (``then``) and
+    truncations (a truncation keeps a fraction of the cache)."""
     vocab = draw(st.integers(2, 6))
     tokens = st.integers(0, vocab - 1)
     if draw(st.booleans()):
@@ -323,6 +343,7 @@ def model_and_ops(draw):
     op = st.one_of(
         st.tuples(st.just("feed"), st.lists(tokens, max_size=8)),
         st.tuples(st.just("score"), st.lists(tokens, min_size=1, max_size=8)),
+        st.tuples(st.just("continue"), st.tuples(st.lists(tokens, min_size=1, max_size=4), st.integers(1, 5))),
         st.tuples(st.just("truncate"), st.floats(0, 1)),
     )
     return model, draw(st.lists(op, min_size=1, max_size=12))
@@ -348,6 +369,18 @@ def test_feed_then_score_equals_fresh_model(case):
             prefix += arg
             scored_blocks += 1
             scored_tokens += len(arg)
+        elif kind == "continue":
+            # the continuation appends each argmax and scores it, as
+            # one-token calls would, and counts one pass per step
+            block, then = arg
+            expected = fresh_scores(model, prefix, block)
+            prefix += block
+            for _ in range(then):
+                prefix.append(expected[-1])
+                expected.append(fresh_argmax(model, prefix))
+            assert model.score_block(block, then=then) == expected
+            scored_blocks += 1 + then
+            scored_tokens += len(block) + then
         else:
             keep = int(arg * len(prefix))
             model.truncate(keep)

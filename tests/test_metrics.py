@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from copyspec.engine import AttemptOutcome, EngineConfig, generate
 from copyspec.lm import TableLM
@@ -145,6 +146,29 @@ def test_attempt_cost_components():
     assert attempt_cost(plain(index_ops=2), cost) == pytest.approx(2.0 + 0.1 + 0.5)
     assert attempt_cost(copy_attempt(10, 3, 1), cost) == pytest.approx(2.0 + 0.1 * 11 + 0.25)
     assert attempt_cost(draft_attempt(4, 4), cost) == pytest.approx(2.0 + 0.1 * 5 + 0.5 * 4)
+
+
+@st.composite
+def attempt_logs(draw):
+    log = []
+    for _ in range(draw(st.integers(1, 40))):
+        source = draw(st.sampled_from(["copy", "draft", "plain"]))
+        proposed = 0 if source == "plain" else draw(st.integers(1, 12))
+        k = draw(st.integers(0, proposed))
+        log.append(AttemptOutcome(source, proposed, k, 1, False, draw(st.integers(0, 15))))
+    return log
+
+
+_COST = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@given(attempt_logs(), st.builds(CostModel, _COST, _COST, _COST, _COST))
+def test_score_log_sim_time_is_exactly_the_sum_of_attempt_costs(log, cost):
+    # bitwise equal, not approximately: every metric file prints sim_time
+    total = 0.0
+    for o in log:
+        total += attempt_cost(o, cost)
+    assert score_log(log, cost).sim_time == total
 
 
 def test_invariant_ranges_on_engine_log():
