@@ -150,26 +150,26 @@ class Session:
     def verify_block(self, proposal: list[int], source: str, index_ops: int = 0) -> AttemptOutcome:
         """Score the pending token plus a proposal in one target pass.
 
-        Accepts the longest prefix of the proposal matching the target's
-        argmax. The pass yields proposed+1 predictions, so the bonus comes
-        from the same call whether the proposal is rejected or fully
-        accepted; an empty proposal is a plain step. Only a rejection
-        truncates, rolling the caches back to the accepted prefix. The
-        committed bonus stays pending in both caches.
+        The target holds all the context but its last token, so the pass
+        is over ``[context[-1], *proposal]`` and ``scores[i]`` is its
+        argmax at ``proposal[i]``. The longest matching prefix, k tokens,
+        is accepted and ``scores[k]`` is the bonus, rejected or not; an
+        empty proposal is a plain step. Only a rejection truncates,
+        rolling the caches back to the accepted prefix. The committed
+        bonus stays pending in both caches.
         """
         context = self.context
         target = self.target
         t = len(context)
         n = len(proposal)
-        scores = target.score_block(context[target.state_len:] + proposal)
-        off = len(scores) - n - 1  # scores[off + i] is the target's argmax at proposal[i]
+        scores = target.score_block([context[-1], *proposal])
         k = 0
         for tok in proposal:
             # an accepted end-of-text stops here and becomes the bonus
-            if tok != scores[off + k] or tok == EOT_ID:
+            if tok != scores[k] or tok == EOT_ID:
                 break
             k += 1
-        bonus = scores[off + k]
+        bonus = scores[k]
         if k < n:
             keep = t + k
             target.truncate(keep)

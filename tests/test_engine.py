@@ -16,7 +16,14 @@ from copyspec.lm import LangModel, TableLM
 from copyspec.match_index import MatchIndex
 from copyspec.metrics import CostModel, score_log
 
-from oracles import fresh_argmax, greedy_reference, naive_match_scan, random_kgram_lm, random_table_lm
+from oracles import (
+    fresh_argmax,
+    greedy_reference,
+    naive_first_positions,
+    naive_match_scan,
+    random_kgram_lm,
+    random_table_lm,
+)
 
 
 def chain_table(words, vocab_size, order=2, fallback=0):
@@ -506,3 +513,55 @@ def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
         for transcript in corpus[:4]:
             run_transcript(transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy))
     assert kinds == {"plain", "accepted", "rejected"}
+
+
+class CountingDict(dict):
+    """A gram index that counts the calls the engine's index makes on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {"setdefault": 0, "get": 0}
+
+    def setdefault(self, key, default=None):
+        self.calls["setdefault"] += 1
+        return super().setdefault(key, default)
+
+    def get(self, key, default=None):
+        self.calls["get"] += 1
+        return super().get(key, default)
+
+
+def new_grams(before, after, gamma):
+    """How many gamma-grams a context growing from ``before`` to ``after`` tokens adds."""
+    return max(after - gamma + 1, 0) - max(before - gamma + 1, 0)
+
+
+def test_copy_attempts_touch_the_index_once_per_committed_token(redundant_setup):
+    corpus, vocab, target, draft = redundant_setup
+    for strategy in ("copy", "copy_plus_specdec"):
+        for gamma in (2, 3, 5):
+            config = EngineConfig(strategy=strategy, gamma=gamma)
+            for transcript in corpus[:3]:
+                session = Session(target.spawn(), draft.spawn(), config)
+                index, context = session.index, session.context
+                first = index.first = CountingDict()
+                for turn in transcript.user_turns():
+                    t, first.calls["setdefault"] = len(context), 0
+                    session.extend_context(turn_prefix_tokens(turn.text, vocab, grow=False))
+                    assert first.calls == {"setdefault": new_grams(t, len(context), gamma), "get": 0}
+                    budget = config.max_new_tokens
+                    while budget > 0:
+                        # the kept answer is the naive scan's; reading it touches no dict
+                        first.calls["setdefault"] = 0
+                        assert index.lookup(context) == naive_match_scan(context, gamma)
+                        assert first.calls == {"setdefault": 0, "get": 0}
+                        t, lookups = len(context), index.lookups
+                        o = session.step(budget)
+                        looked_up = index.lookups - lookups
+                        # one insert per newly indexed gram, and the lookup reads none
+                        assert first.calls == {"setdefault": new_grams(t, len(context), gamma), "get": 0}
+                        assert o.index_ops == looked_up + o.accepted_k + 1
+                        budget -= o.accepted_k + 1
+                        if o.hit_eot:
+                            break
+                assert index.first == naive_first_positions(context, gamma)

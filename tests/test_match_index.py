@@ -75,6 +75,25 @@ def test_lookup_short_context_returns_none():
     assert index.lookup([1, 2]) is None
 
 
+def test_lookup_requires_the_indexed_context():
+    context = [1, 2, 3, 4, 1, 2, 3]
+    index = build_index(context, gamma=3)
+    for other in (context[:-1], context + [4], []):
+        with pytest.raises(ValueError):
+            index.lookup(other)
+    assert index.lookups == 0
+    assert index.lookup(context) == 1 and index.lookups == 1
+
+
+def test_mix_ops_counts_extend_grams_only():
+    context = [1, 2, 1, 2, 1, 2]
+    index = build_index(context, gamma=2)
+    assert index.mix_ops == 5 * 2  # five grams read by extend
+    for _ in range(3):
+        assert index.lookup(context) == 1
+    assert index.mix_ops == 5 * 2 and index.lookups == 3  # a lookup reads no gram
+
+
 def test_randomized_oracle_equivalence():
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -103,6 +122,7 @@ def test_chunked_extend_lookups_match_naive_scan(case):
     for hi in bounds[1:]:
         prefix = context[:hi]
         index.extend(prefix)
+        index.extend(prefix)  # a no-op extend keeps the answer for the same context
         p = index.lookup(prefix)
         assert p == naive_match_scan(prefix, gamma)
         if p is not None:
