@@ -156,13 +156,12 @@ def _build_models(args, transcripts):
     Trained models are views at their own order of one set of counts and
     argmax tables: neither depends on the highest order counted. Set-up
     builds the orders a run reads. That is the target's order, and when
-    the strategy drafts, the draft's and every order from it up to the
-    target's: on the shipped corpora the target backs off below its order
-    only while scoring draft proposals, so this keeps resolution out of
-    the first drafting turn. Any other order is built on its first
-    backoff read. A loaded
-    target may come from another corpus, so the draft is then trained on
-    this one.
+    the strategy drafts, the draft's. The target's verification pass
+    stops at the first rejected token, and on the shipped corpora every
+    backoff below the target's order fell after one, so no other order is
+    read; any other order is still built on its first backoff read. A
+    loaded target may come from another corpus, so the draft is then
+    trained on this one.
     """
     wants_draft = _engine_config(args).allows_draft
     t, d = args.target_order, args.draft_order
@@ -175,7 +174,7 @@ def _build_models(args, transcripts):
         return vocab, prompts, target, draft
     vocab = Vocabulary()
     seqs, prompts = ingest(transcripts, vocab)
-    orders = {t, d, *range(d, t)} if wants_draft else {t}
+    orders = {t, d} if wants_draft else {t}
     full = train_kgram(seqs, max(orders), vocab_size=len(vocab), resolve=orders)
     return vocab, prompts, full.view(t), full.view(d) if wants_draft else None
 
@@ -353,11 +352,13 @@ def cmd_report(args) -> int:
         print("warning: metric files were produced from different corpora", file=sys.stderr)
 
     # a run file pools its turns in `aggregate.by_turn`, under its one strategy
-    rows = {
-        (doc["config"]["strategy"], int(turn)): vals
-        for doc in docs
-        for turn, vals in doc["aggregate"]["by_turn"].items()
-    }
+    rows, sources = {}, {}
+    for path, doc in zip(args.paths, docs):
+        for turn, vals in doc["aggregate"]["by_turn"].items():
+            key = (doc["config"]["strategy"], int(turn))
+            if key in rows:
+                raise RuntimeError(f"{sources[key]} and {path} both hold {key[0]} turn {key[1]}")
+            rows[key], sources[key] = vals, path
 
     baseline = {turn: vals for (strategy, turn), vals in rows.items() if strategy == "baseline"}
     want_speedup = not args.no_speedup

@@ -7,9 +7,11 @@ the target model in one blockwise pass. Otherwise a smaller draft model
 may propose tokens. Verification accepts the longest prefix matching the
 target's argmax and always yields one extra guaranteed token from the
 target, which diverges from the first rejected token and so prevents
-repeated failed attempts at the same spot. Rejected tokens are rolled
-back by truncating the model caches to the accepted prefix; a plain step
-or a fully accepted proposal has nothing to roll back and truncates
+repeated failed attempts at the same spot. The target's pass itself stops
+at the first rejected token (``score_block(..., eot=EOT_ID)``), so its
+cache ends at the accepted prefix and is never truncated. Only the draft,
+which may have appended its own rejected proposal, is rolled back to the
+accepted prefix; a plain step or a fully accepted proposal truncates
 nothing.
 
 Each model cache holds a prefix of the context. The newest committed
@@ -151,35 +153,27 @@ class Session:
         """Score the pending token plus a proposal in one target pass.
 
         The target holds all the context but its last token, so the pass
-        is over ``[context[-1], *proposal]`` and ``scores[i]`` is its
-        argmax at ``proposal[i]``. The longest matching prefix, k tokens,
-        is accepted and ``scores[k]`` is the bonus, rejected or not; an
-        empty proposal is a plain step. Only a rejection truncates,
-        rolling the caches back to the accepted prefix. The committed
-        bonus stays pending in both caches.
+        is over ``[context[-1], *proposal]``. In verification mode it
+        returns its argmaxes up to the first that rejects a proposed token
+        (or is end-of-text: an end-of-text that would be accepted becomes
+        the bonus instead), so the k accepted tokens are ``scores[:k]``
+        and the bonus is ``scores[k]``, the last; an empty proposal is a
+        plain step. So ``scores`` is exactly what the attempt commits. The
+        target's cache then ends at the accepted prefix; only a rejection
+        truncates the draft back to it. The committed bonus stays pending
+        in both caches.
         """
         context = self.context
-        target = self.target
-        t = len(context)
         n = len(proposal)
-        scores = target.score_block([context[-1], *proposal])
-        k = 0
-        for tok in proposal:
-            # an accepted end-of-text stops here and becomes the bonus
-            if tok != scores[k] or tok == EOT_ID:
-                break
-            k += 1
+        scores = self.target.score_block([context[-1], *proposal], eot=EOT_ID)
+        k = len(scores) - 1
         bonus = scores[k]
         if k < n:
-            keep = t + k
-            target.truncate(keep)
+            keep = len(context) + k
             draft = self.draft
             if draft is not None and draft.state_len > keep:
                 draft.truncate(keep)
-            context += proposal[:k]
-        else:
-            context += proposal
-        context.append(bonus)
+        context += scores
         if self.index is not None:
             self.index.extend(context)
             index_ops += k + 1  # one insert per committed token

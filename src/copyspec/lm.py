@@ -7,6 +7,10 @@ prefix plus ``block[:i+1]``, as the logits of a real forward pass do; so
 the last entry predicts the token that follows the whole block.
 ``score_block(block, then=n)`` goes on to append and score its own last
 argmax n times, the greedy continuation a draft proposal needs.
+``score_block(block, eot=id)`` verifies a proposal in the same one pass:
+it stops at the first argmax that disagrees with the next block token,
+keeping only the agreed prefix appended, so nothing after a rejection is
+computed or has to be rolled back.
 ``feed`` appends tokens whose predictions nobody reads (a prompt, the
 draft's catch-up) without scoring them, and ``truncate`` rolls the cache
 back to a shorter prefix. Scoring is a pure function of the prefix: any
@@ -78,7 +82,7 @@ class LangModel:
     def state(self) -> tuple[int, ...]:
         return tuple(self._state)
 
-    def score_block(self, block: Sequence[int], then: int = 0) -> list[int]:
+    def score_block(self, block: Sequence[int], then: int = 0, eot: int | None = None) -> list[int]:
         """Append the block; return the argmax after each block position.
 
         Entry i is the argmax given (cached prefix + block[:i+1]), so the
@@ -89,8 +93,18 @@ class LangModel:
         result has ``len(block) + then`` entries and its last is not
         appended. Each continuation step is a pass of its own (it reads
         the argmax before it) and is counted as one block of one token.
-        A token outside the vocabulary raises :class:`InvalidToken` after
-        the tokens appended before it are deleted again.
+
+        With ``eot`` (the end-of-text id) and no ``then`` the call verifies:
+        the block is a pending token and a proposal, and scoring stops at the
+        first argmax that differs from the next block token or is ``eot``
+        (a proposed end-of-text is never accepted, only predicted). The
+        result is the k argmaxes that matched, then that one, and only
+        ``block[:k+1]`` stays appended. The pass is still counted as one
+        block of ``len(block)`` tokens, as the cost model charges it.
+
+        A token outside the vocabulary, anywhere in the block or in the
+        continuation, raises :class:`InvalidToken` and leaves the cache
+        and the counters as they were.
         """
         if not block:
             raise ValueError("block must be non-empty")
@@ -104,10 +118,17 @@ class LangModel:
             if not 0 <= tok < vocab_size:
                 del state[start:]  # undo the block: the cache stays as it was
                 raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
+            if eot is not None and out and (nxt != tok or nxt == eot):
+                # verifying, scoring stops here and the rest is only range-checked:
+                # None disagrees with every later token
+                nxt = None
+                continue
             state.append(tok)
             # a prefix shorter than order gives a short key, never in the top table
             nxt = top(tuple(state[-order:]))
-            out.append(self._backoff(state) if nxt is None else nxt)
+            if nxt is None:
+                nxt = self._backoff(state)
+            out.append(nxt)
         if then:  # a draft's continuation; an empty loop would still cost every target call
             for _ in range(then):
                 tok = out[-1]

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import copyspec
-from copyspec.cli import _build_models, _load_corpus, build_parser, main
+from copyspec.cli import _build_models, _engine_config, _load_corpus, build_parser, main
+from copyspec.engine import run_corpus
 from copyspec.lm import KgramLM
 from copyspec.metrics import RunMetrics, aggregate
 from copyspec.synthetic import make_redundant_corpus
@@ -167,17 +168,30 @@ def _built_orders(model):
 
 @pytest.mark.parametrize(
     "strategy, orders",
-    [("baseline", [4]), ("copy", [4]), ("specdec", [2, 3, 4]), ("copy+specdec", [2, 3, 4])],
+    [("baseline", [4]), ("copy", [4]), ("specdec", [2, 4]), ("copy+specdec", [2, 4])],
 )
 def test_setup_builds_only_the_orders_a_run_reads(small_corpus_path, strategy, orders):
-    # the target's order, and when the strategy drafts, every order from
-    # the draft's up to the target's; the views share one set of tables
+    # the target's order, and when the strategy drafts, the draft's; the
+    # views share one set of tables
     args = build_parser().parse_args(["run", "--corpus", str(small_corpus_path), "--strategy", strategy])
     _, _, target, draft = _build_models(args, _load_corpus(args.corpus))
     assert _built_orders(target) == orders
     assert (draft is None) == (strategy in ("baseline", "copy"))
     if draft is not None:
         assert draft.order == 2 and draft.tables is target.tables
+
+
+@pytest.mark.parametrize("corpus", ["redundant_2turn", "novel_2turn", "selfcorrect_3turn"])
+def test_generation_resolves_no_order_on_shipped_corpora(data_dir, corpus):
+    # the premise of building only the target's and draft's orders: every
+    # lower-order backoff falls after the first rejected token, where the
+    # target's pass stops, so generation resolves nothing
+    for strategy in ("specdec", "copy+specdec"):
+        args = build_parser().parse_args(["run", "--corpus", str(data_dir / f"{corpus}.jsonl"), "--strategy", strategy])
+        transcripts = _load_corpus(args.corpus)
+        vocab, prompts, target, draft = _build_models(args, transcripts)
+        run_corpus(transcripts, prompts, vocab, target, draft, [_engine_config(args)])
+        assert _built_orders(target) == [2, 4], f"{corpus} {strategy}"
 
 
 @pytest.mark.parametrize("target_order, draft_order", [(1, 1), (3, 5), (5, 2)])
@@ -304,6 +318,19 @@ def test_report_warns_on_corpus_mismatch(small_corpus_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "different corpora" in captured.err
     assert "copy" in captured.out  # rows still printed
+
+
+def test_report_rejects_two_files_for_one_strategy_and_turn(small_corpus_path, tmp_path, capsys):
+    # two copy runs would fill the same (strategy, turn) rows; one would be lost
+    base, one, two = tmp_path / "base.json", tmp_path / "one.json", tmp_path / "two.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    for path, gamma in ((one, 2), (two, 3)):
+        run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--gamma", gamma, "--out", path)
+    capsys.readouterr()
+    assert run_cli("report", one, base, two) == 1
+    captured = capsys.readouterr()
+    assert str(one) in captured.err and str(two) in captured.err
+    assert captured.out == ""
 
 
 def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, capsys):

@@ -484,30 +484,40 @@ def test_session_interleavings_match_greedy_and_accounting(case):
 def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
     corpus, vocab, target, draft = redundant_setup
     truncated = []  # (model, keep) per truncate call
-    truncate, step = LangModel.truncate, Session.step
+    scored = []  # the model of each score_block call
+    truncate, score_block, step = LangModel.truncate, LangModel.score_block, Session.step
     kinds = set()
 
     def counted_truncate(self, keep_len):
         truncated.append((self, keep_len))
         truncate(self, keep_len)
 
+    def counted_score_block(self, *args, **kwargs):
+        scored.append(self)
+        return score_block(self, *args, **kwargs)
+
     def checked_step(self, remaining):
         truncated.clear()
+        scored.clear()
         t = len(self.context)
         o = step(self, remaining)
         to_target = [keep for model, keep in truncated if model is self.target]
         to_draft = [keep for model, keep in truncated if model is self.draft]
-        if o.accepted_k < o.proposed:  # partly rejected: one rollback to t + k
+        # one target pass, which stops at the accepted prefix: nothing to undo
+        assert [model for model in scored if model is self.target] == [self.target]
+        assert to_target == []
+        assert self.target.state_len == t + o.accepted_k
+        if o.accepted_k < o.proposed:  # partly rejected: the draft rolls back to t + k
             kinds.add("rejected")
-            assert to_target == [t + o.accepted_k]
             assert to_draft in ([], [t + o.accepted_k])
         else:  # a plain step or a fully accepted proposal has nothing to undo
             kinds.add(o.source if o.proposed == 0 else "accepted")
-            assert to_target == to_draft == []
+            assert to_draft == []
         assert len(truncated) == len(to_target) + len(to_draft)
         return o
 
     monkeypatch.setattr(LangModel, "truncate", counted_truncate)
+    monkeypatch.setattr(LangModel, "score_block", counted_score_block)
     monkeypatch.setattr(Session, "step", checked_step)
     for strategy in STRATEGIES:
         for transcript in corpus[:4]:

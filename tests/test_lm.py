@@ -411,3 +411,66 @@ def test_feed_out_of_vocabulary_changes_nothing(case, past_end, at):
     with pytest.raises(InvalidToken):
         model.feed(block)
     assert (model.state, model.blocks_scored, model.tokens_scored, model.tokens_fed) == before
+
+
+@st.composite
+def verification_case(draw):
+    """A TableLM or KgramLM, a prefix, and a block ``[pending, *proposal]``
+    whose proposal is the model's greedy continuation with up to two
+    tokens replaced, so that it agrees for a while and then may not; the
+    end-of-text id is drawn from the vocabulary, so it also turns up
+    inside proposals."""
+    vocab = draw(st.integers(2, 6))
+    tokens = st.integers(0, vocab - 1)
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 3))
+        table = draw(st.dictionaries(st.tuples(*[tokens] * order), tokens, max_size=12))
+        model = TableLM(vocab, order, table, fallback=draw(tokens))
+    else:
+        corpus = draw(st.lists(st.lists(tokens, max_size=16), min_size=1, max_size=3))
+        model = train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab, resolve=[])
+    prefix = draw(st.lists(tokens, max_size=10))
+    pending = draw(tokens)
+    n = draw(st.integers(0, 6))
+    proposal = model.spawn().score_block(prefix + [pending], then=n)[len(prefix):len(prefix) + n]
+    if n:
+        for i, tok in draw(st.dictionaries(st.integers(0, n - 1), tokens, max_size=2)).items():
+            proposal[i] = tok
+    return model, prefix, [pending, *proposal], draw(tokens)
+
+
+def counters(model):
+    return model.state, model.blocks_scored, model.tokens_scored, model.tokens_fed
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=verification_case())
+def test_verification_stops_at_the_first_disagreement(case):
+    # the argmaxes of the full pass up to the first that disagrees with the
+    # next block token or is end-of-text; only that much stays appended,
+    # and the whole block is counted
+    model, prefix, block, eot = case
+    full = fresh_scores(model, prefix, block)
+    k = next((i for i in range(len(block) - 1) if full[i] != block[i + 1] or full[i] == eot), len(block) - 1)
+    model = model.spawn()
+    model.feed(prefix)
+    assert model.score_block(block, eot=eot) == full[:k + 1]
+    assert model.state == tuple(prefix + block[:k + 1])
+    assert (model.blocks_scored, model.tokens_scored) == (1, len(block))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=verification_case(), past_end=st.sampled_from([None, 0, 90]), data=st.data())
+def test_verification_rejects_any_out_of_vocabulary_token(case, past_end, data):
+    # a bad token anywhere in the block, also after the first disagreement
+    # where nothing is scored, raises and changes nothing
+    model, prefix, block, eot = case
+    model = model.spawn()
+    model.feed(prefix)
+    model.score_block(block, eot=eot)
+    at = data.draw(st.integers(0, len(block) - 1), label="bad position")
+    block[at] = -1 if past_end is None else model.vocab_size + past_end
+    before = counters(model)
+    with pytest.raises(InvalidToken):
+        model.score_block(block, eot=eot)
+    assert counters(model) == before
