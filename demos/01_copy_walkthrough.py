@@ -17,8 +17,8 @@ PROMPT = (
 ANSWER = "the wood duck lives in wooded swamps and nests in tree holes near quiet ponds"
 
 vocab = Vocabulary()
-prompt_ids = tokenize(PROMPT, vocab, grow=True)
-answer_ids = tokenize(ANSWER, vocab, grow=True)
+prompt_ids = tokenize(PROMPT, vocab)
+answer_ids = tokenize(ANSWER, vocab)
 
 # An order-2 chain: after the prompt, greedy decoding emits the answer.
 chain = prompt_ids + answer_ids + [EOT_ID]

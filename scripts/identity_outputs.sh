@@ -11,6 +11,10 @@
 #   train/lm.json                       `train-lm` dump of redundant_2turn
 #   train/novel.copy+specdec.json       a copy+specdec run on novel_2turn with
 #                                       --model-path set to that dump
+#   train/lm3.json                      `train-lm --order 3` dump of redundant_2turn
+#   train/redundant.lm3.copy+specdec.json
+#                                       a copy+specdec run on redundant_2turn with
+#                                       --model-path set to the order-3 dump
 #   cost_index/<corpus>.<strategy>.json `run --cost-index 0.5`, every corpus and strategy
 #
 # Run it in two checkouts and compare with `diff -r OUT_A OUT_B`. The
@@ -63,5 +67,8 @@ done
 copyspec train-lm --corpus "data/redundant_2turn.jsonl" --out "$out/train/lm.json"
 copyspec run --corpus "data/novel_2turn.jsonl" --strategy copy+specdec \
     --model-path "$out/train/lm.json" --out "$out/train/novel.copy+specdec.json"
+copyspec train-lm --corpus "data/redundant_2turn.jsonl" --order 3 --out "$out/train/lm3.json"
+copyspec run --corpus "data/redundant_2turn.jsonl" --strategy copy+specdec \
+    --model-path "$out/train/lm3.json" --out "$out/train/redundant.lm3.copy+specdec.json"
 
 echo "wrote $(find "$out" -type f | wc -l) files to $out"

@@ -40,10 +40,6 @@ class EmbeddingModel:
     out_vectors: np.ndarray  # shape (vocab, dim)
     epoch_losses: list[float]
 
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
 
 def _context_pairs(corpus: list[list[int]], gamma: int) -> list[tuple[list[int], int]]:
     """(last-gamma context, next token) pairs from every eligible position."""

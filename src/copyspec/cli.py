@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -44,14 +43,11 @@ class MissingBaseline(RuntimeError):
     """Speedup was requested but no baseline-strategy metrics file is present."""
 
 
-def _positive(kind=int):
-    def convert(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
-
-    return convert
+def _positive(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _nonnegative_float(text):
@@ -94,18 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--corpus", required=True, help="transcript JSONL file")
-        p.add_argument("--gamma", type=_positive(), default=3, help="match window length (default 3)")
-        p.add_argument("--chunk", type=_positive(), default=10, help="max tokens per copy proposal (default 10)")
-        p.add_argument("--draft-tokens", type=_positive(), default=3, help="draft proposal length (default 3)")
-        p.add_argument("--max-new-tokens", type=_positive(), default=1024, help="per-turn budget (default 1024)")
+        p.add_argument("--gamma", type=_positive, default=3, help="match window length (default 3)")
+        p.add_argument("--chunk", type=_positive, default=10, help="max tokens per copy proposal (default 10)")
+        p.add_argument("--draft-tokens", type=_positive, default=3, help="draft proposal length (default 3)")
+        p.add_argument("--max-new-tokens", type=_positive, default=1024, help="per-turn budget (default 1024)")
         p.add_argument("--cost-target", type=_nonnegative_float, default=1.0, help="units per target pass")
         p.add_argument("--cost-target-token", type=_nonnegative_float, default=0.02, help="units per scored token")
         p.add_argument("--cost-draft-token", type=_nonnegative_float, default=0.1, help="units per drafted token")
         p.add_argument("--cost-index", type=_nonnegative_float, default=0.0, help="units per index operation")
-        p.add_argument("--target-order", type=_positive(), default=4, help="target k-gram order (default 4)")
-        p.add_argument("--draft-order", type=_positive(), default=2, help="draft k-gram order (default 2)")
+        p.add_argument("--target-order", type=_positive, default=4, help="target k-gram order (default 4; --model-path sets it)")
+        p.add_argument("--draft-order", type=_positive, default=2, help="draft k-gram order (default 2)")
         p.add_argument("--model-path", default=None, help="load the target model from a dump instead of training")
-        p.add_argument("--jobs", type=_positive(), default=1, help="transcript-level worker processes")
+        p.add_argument("--jobs", type=_positive, default=1, help="transcript-level worker processes")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -122,16 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train-lm", help="train a k-gram model on a corpus and dump it")
     p_train.add_argument("--corpus", required=True)
-    p_train.add_argument("--order", type=_positive(), default=4)
+    p_train.add_argument("--order", type=_positive, default=4)
     p_train.add_argument("--out", required=True)
 
     p_skip = sub.add_parser("skipgram", help="left-context embedding study: mean cosine similarity per gamma")
     p_skip.add_argument("--corpus", required=True)
     p_skip.add_argument("--gammas", type=_positive_list, default=[2, 3, 4, 5], help="comma-separated positive gammas")
-    p_skip.add_argument("--dim", type=_positive(), default=16)
-    p_skip.add_argument("--epochs", type=_positive(), default=10)
+    p_skip.add_argument("--dim", type=_positive, default=16)
+    p_skip.add_argument("--epochs", type=_positive, default=10)
     p_skip.add_argument("--lr", type=_nonnegative_float, default=0.1)
-    p_skip.add_argument("--seed", type=int, default=None, help=f"training seed (default {DEFAULT_SEED}; env COPYSPEC_SEED overrides)")
+    p_skip.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"training seed (default {DEFAULT_SEED})")
     p_skip.add_argument("--out", default=None)
 
     p_report = sub.add_parser("report", help="tabulate metric files; speedups are against the baseline file")
@@ -149,7 +145,7 @@ def _load_corpus(path: str) -> list[Transcript]:
     return transcripts
 
 
-def _build_models(args, transcripts):
+def _build_models(args, transcripts, config: EngineConfig):
     """Vocabulary, user-turn prompts, target and (if the strategy drafts)
     draft model, from one tokenizing pass and one training.
 
@@ -160,22 +156,22 @@ def _build_models(args, transcripts):
     stops at the first rejected token, and on the shipped corpora every
     backoff below the target's order fell after one, so no other order is
     read; any other order is still built on its first backoff read. A
-    loaded target may come from another corpus, so the draft is then
-    trained on this one.
+    loaded target keeps its dump's order, whatever ``--target-order``
+    says, and may come from another corpus, so the draft is then trained
+    on this one.
     """
-    wants_draft = _engine_config(args).allows_draft
+    wants_draft = config.allows_draft
     t, d = args.target_order, args.draft_order
     if args.model_path:
         target, symbols = KgramLM.load(args.model_path)
         vocab = Vocabulary(list(symbols) if symbols else None)
         seqs, prompts = ingest(transcripts, vocab)
         target.vocab_size = max(target.vocab_size, len(vocab))
-        draft = train_kgram(seqs, d, vocab_size=len(vocab), resolve=[d]) if wants_draft else None
+        draft = train_kgram(seqs, d, vocab_size=len(vocab)) if wants_draft else None
         return vocab, prompts, target, draft
     vocab = Vocabulary()
     seqs, prompts = ingest(transcripts, vocab)
-    orders = {t, d} if wants_draft else {t}
-    full = train_kgram(seqs, max(orders), vocab_size=len(vocab), resolve=orders)
+    full = train_kgram(seqs, max(t, d) if wants_draft else t, vocab_size=len(vocab))
     return vocab, prompts, full.view(t), full.view(d) if wants_draft else None
 
 
@@ -198,7 +194,7 @@ def _cost_model(args) -> CostModel:
     )
 
 
-def _config_echo(args, extra=None) -> dict:
+def _config_echo(args, target_order: int, extra=None) -> dict:
     echo = {
         "strategy": args.strategy,
         "gamma": args.gamma,
@@ -209,7 +205,7 @@ def _config_echo(args, extra=None) -> dict:
         "cost_target_token": args.cost_target_token,
         "cost_draft_token": args.cost_draft_token,
         "cost_index": args.cost_index,
-        "target_order": args.target_order,
+        "target_order": target_order,
         "draft_order": args.draft_order,
         "corpus_fingerprint": file_fingerprint(args.corpus),
     }
@@ -235,17 +231,17 @@ def _emit(args, payload: dict, records: list[dict]) -> None:
         text = records_to_json(payload)
     else:
         text = records_to_csv(records)
-        print(json.dumps({"aggregate": payload["aggregate"]}, sort_keys=True))
+        print(json.dumps({"aggregate": payload["aggregate"]}, sort_keys=True), file=sys.stderr)
     _write(args, text)
 
 
 def cmd_run(args) -> int:
     t0 = time.monotonic()
     transcripts = _load_corpus(args.corpus)
-    vocab, prompts, target, draft = _build_models(args, transcripts)
     config = _engine_config(args)
+    vocab, prompts, target, draft = _build_models(args, transcripts, config)
     cost = _cost_model(args)
-    echo = _config_echo(args)
+    echo = _config_echo(args, target.order)
     runs = run_corpus(transcripts, prompts, vocab, target, draft, [config], cost, args.jobs)
 
     records = []
@@ -275,11 +271,11 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     transcripts = _load_corpus(args.corpus)
-    vocab, prompts, target, draft = _build_models(args, transcripts)
     config = _engine_config(args)
+    vocab, prompts, target, draft = _build_models(args, transcripts, config)
     cost = _cost_model(args)
     axis = "gamma" if args.axis == "gamma" else "chunk_len"
-    echo = _config_echo(args, {"axis": axis, "values": ",".join(map(str, args.values))})
+    echo = _config_echo(args, target.order, {"axis": axis, "values": ",".join(map(str, args.values))})
 
     result = sweep(transcripts, prompts, vocab, target, draft, config, axis, args.values, cost, args.jobs)
     payload = {"config": echo, "sweep": result.to_dict()}
@@ -322,8 +318,7 @@ def cmd_skipgram(args) -> int:
     transcripts = _load_corpus(args.corpus)
     vocab = Vocabulary()
     seqs = training_sequences(transcripts, vocab)
-    seed = args.seed if args.seed is not None else int(os.environ.get("COPYSPEC_SEED", DEFAULT_SEED))
-    points = cs_study(seqs, args.gammas, dim=args.dim, epochs=args.epochs, learning_rate=args.lr, seed=seed)
+    points = cs_study(seqs, args.gammas, dim=args.dim, epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     payload = {
         "config": {
             "corpus_fingerprint": file_fingerprint(args.corpus),
@@ -331,7 +326,7 @@ def cmd_skipgram(args) -> int:
             "dim": args.dim,
             "epochs": args.epochs,
             "lr": args.lr,
-            "seed": seed,
+            "seed": args.seed,
         },
         "points": [{"gamma": g, "mean_cs": cs} for g, cs in points],
     }

@@ -21,7 +21,7 @@ USER_TAG = "<user>"
 ASSISTANT_TAG = "<assistant>"
 
 class UnknownSymbol(KeyError):
-    """A symbol is absent from the vocabulary and growth is disabled."""
+    """A symbol is absent from the vocabulary."""
 
 
 class InvalidTokenId(IndexError):
@@ -54,29 +54,21 @@ class Vocabulary:
 
     Ids are assigned in first-seen order and never change within a session.
     Id 0 is always the reserved end-of-text symbol. The table is the dict
-    ``_ids``, which :func:`tokenize` grows directly; ``_symbols`` lists its
-    keys in id order and catches up on the ones added since (by reading
-    only those, from the dict's end) whenever an id past its end is read.
+    ``_ids``, which :func:`tokenize` grows directly; its keys are in
+    insertion order, which is id order.
     """
 
     def __init__(self, symbols: list[str] | None = None):
-        self._symbols: list[str] = []
         self._ids: dict[str, int] = {}
-        self.add(EOT_SYMBOL)
-        for sym in symbols or []:
-            if sym != EOT_SYMBOL:
-                self.add(sym)
+        for sym in [EOT_SYMBOL, *(symbols or [])]:
+            self.add(sym)
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._ids
-
     @property
     def symbols(self) -> tuple[str, ...]:
-        self._catch_up()
-        return tuple(self._symbols)
+        return tuple(self._ids)
 
     def add(self, symbol: str) -> int:
         """Return the id of ``symbol``, appending it if unseen."""
@@ -90,18 +82,9 @@ class Vocabulary:
         return tid
 
     def symbol_of(self, token_id: int) -> str:
-        symbols = self._symbols
-        if not 0 <= token_id < len(symbols):
-            self._catch_up()
-            if not 0 <= token_id < len(symbols):
-                raise InvalidTokenId(token_id)
-        return symbols[token_id]
-
-    def _catch_up(self) -> None:
-        """Append to ``_symbols`` the symbols added to ``_ids`` since it last grew."""
-        added = len(self._ids) - len(self._symbols)
-        if added:
-            self._symbols += reversed(list(islice(reversed(self._ids), added)))
+        if not 0 <= token_id < len(self._ids):
+            raise InvalidTokenId(token_id)
+        return next(islice(self._ids, token_id, None))
 
 
 @dataclass(frozen=True)
@@ -137,17 +120,14 @@ def _check_roles(turns: tuple[Turn, ...]) -> None:
 _split_words = re.compile(r"\S*[^\s.,;:!?]|\S").findall
 
 
-def tokenize(text: str, vocab: Vocabulary, grow: bool = False) -> list[int]:
-    """Map ``text`` to token ids, optionally growing ``vocab`` on unseen symbols.
+def tokenize(text: str, vocab: Vocabulary) -> list[int]:
+    """Map ``text`` to token ids, growing ``vocab`` on unseen symbols.
 
     Deterministic: the same text against the same vocabulary always yields
-    the same ids. With ``grow`` unset an unseen symbol raises
-    :class:`UnknownSymbol`.
+    the same ids.
     """
-    if grow:
-        ids = vocab._ids
-        return [ids.setdefault(w, len(ids)) for w in _split_words(text)]
-    return [vocab.id_of(w) for w in _split_words(text)]
+    ids = vocab._ids
+    return [ids.setdefault(w, len(ids)) for w in _split_words(text)]
 
 
 def detokenize(seq: list[int], vocab: Vocabulary) -> str:
@@ -209,17 +189,14 @@ def file_fingerprint(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def turn_prefix_tokens(user_text: str, vocab: Vocabulary, grow: bool = True) -> list[int]:
-    """Tokens appended to the context before generating one assistant turn.
+def turn_prefix_tokens(user_text: str, vocab: Vocabulary) -> list[int]:
+    """Tokens appended to the context before generating one assistant turn,
+    growing ``vocab``.
 
     Layout: role tag, user text, assistant tag. The engine's generated
     answer (ending in end-of-text) follows directly after.
     """
-    return (
-        [vocab.add(USER_TAG) if grow else vocab.id_of(USER_TAG)]
-        + tokenize(user_text, vocab, grow=grow)
-        + [vocab.add(ASSISTANT_TAG) if grow else vocab.id_of(ASSISTANT_TAG)]
-    )
+    return [vocab.add(USER_TAG), *tokenize(user_text, vocab), vocab.add(ASSISTANT_TAG)]
 
 
 def ingest(transcripts: list[Transcript], vocab: Vocabulary) -> tuple[list[list[int]], list[list[list[int]]]]:
@@ -242,7 +219,7 @@ def ingest(transcripts: list[Transcript], vocab: Vocabulary) -> tuple[list[list[
                 turn_prompts.append(prompt)
                 seq += prompt
             else:
-                seq += tokenize(turn.text, vocab, grow=True)
+                seq += tokenize(turn.text, vocab)
                 seq.append(EOT_ID)
         sequences.append(seq)
         prompts.append(turn_prompts)

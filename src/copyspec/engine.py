@@ -209,15 +209,15 @@ class Session:
             return self.verify_block(proposal, SOURCE_DRAFT, index_ops)
         return self.verify_block([], SOURCE_PLAIN, index_ops)
 
-    def run(self, max_new_tokens: int | None = None) -> tuple[list[int], list[AttemptOutcome]]:
-        """Generate until end-of-text or the token budget is exhausted.
+    def run(self) -> tuple[list[int], list[AttemptOutcome]]:
+        """Generate until end-of-text or ``config.max_new_tokens`` is exhausted.
 
         Returns the emitted output (excluding the terminating end-of-text
         sentinel, which stays in the context) and the outcomes of this
         run's attempts. Committed tokens per attempt are accepted_k + 1, so
         the outcomes partition everything committed, sentinel included.
         """
-        budget = self.config.max_new_tokens if max_new_tokens is None else max_new_tokens
+        budget = self.config.max_new_tokens
         start = len(self.context)
         outcomes: list[AttemptOutcome] = []
         produced = 0

@@ -28,8 +28,8 @@ ones. :class:`TableLM` is one hand-written table, useful as an oracle;
 :class:`KgramLM` resolves its tables from counted k-grams, which repeat
 realistically when trained on redundant text. A k-gram order is counted
 and resolved once, when something first needs it: the model's own order
-at construction, the orders training is asked for, a lower order on the
-first backoff that reaches it. Spawns and views share what is built.
+at construction (a view's too), a lower order on the first backoff that
+reaches it. Spawns and views share what is built.
 """
 
 from __future__ import annotations
@@ -296,9 +296,9 @@ class KgramLM(LangModel):
     def to_dict(self) -> dict:
         """Versioned, order-stable dump of the counts at orders 0..order.
 
-        Orders not counted yet are counted first, so a model trained with
-        only some orders resolved dumps what eager training would. A view
-        at a lower order of shared counts dumps what training at that
+        Orders not counted yet are counted first, so a model with only
+        some orders built dumps what one with every order built would. A
+        view at a lower order of shared counts dumps what training at that
         order alone would.
         """
         for o in range(self.order + 1):
@@ -340,19 +340,12 @@ class KgramLM(LangModel):
         return cls.from_dict(obj), obj.get("vocab")
 
 
-def train_kgram(
-    corpus: Sequence[Sequence[int]],
-    k: int,
-    vocab_size: int | None = None,
-    resolve: Iterable[int] | None = None,
-) -> KgramLM:
-    """An order-k model of the corpus, with the orders in ``resolve``
-    (default: every order 0..k) counted and their argmaxes resolved.
+def train_kgram(corpus: Sequence[Sequence[int]], k: int, vocab_size: int | None = None) -> KgramLM:
+    """An order-k model of the corpus, with order k counted and resolved.
 
-    Order k is always built; any other order is counted and resolved the
-    first time a backoff reaches it, so prediction is defined for short
-    prefixes either way. ``vocab_size`` defaults to one past the largest
-    id seen.
+    Any other order is counted and resolved the first time a backoff (or
+    a view at that order) reaches it, so prediction is defined for short
+    prefixes. ``vocab_size`` defaults to one past the largest id seen.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -360,6 +353,4 @@ def train_kgram(
         raise ValueError("order must be positive")
     if vocab_size is None:
         vocab_size = max((max(seq) for seq in corpus if seq), default=0) + 1
-    model = KgramLM(order=k, counts={}, vocab_size=vocab_size, corpus=corpus)
-    model.resolve(range(k + 1) if resolve is None else resolve)
-    return model
+    return KgramLM(order=k, counts={}, vocab_size=vocab_size, corpus=corpus)

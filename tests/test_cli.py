@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -174,7 +176,7 @@ def test_setup_builds_only_the_orders_a_run_reads(small_corpus_path, strategy, o
     # the target's order, and when the strategy drafts, the draft's; the
     # views share one set of tables
     args = build_parser().parse_args(["run", "--corpus", str(small_corpus_path), "--strategy", strategy])
-    _, _, target, draft = _build_models(args, _load_corpus(args.corpus))
+    _, _, target, draft = _build_models(args, _load_corpus(args.corpus), _engine_config(args))
     assert _built_orders(target) == orders
     assert (draft is None) == (strategy in ("baseline", "copy"))
     if draft is not None:
@@ -189,8 +191,9 @@ def test_generation_resolves_no_order_on_shipped_corpora(data_dir, corpus):
     for strategy in ("specdec", "copy+specdec"):
         args = build_parser().parse_args(["run", "--corpus", str(data_dir / f"{corpus}.jsonl"), "--strategy", strategy])
         transcripts = _load_corpus(args.corpus)
-        vocab, prompts, target, draft = _build_models(args, transcripts)
-        run_corpus(transcripts, prompts, vocab, target, draft, [_engine_config(args)])
+        config = _engine_config(args)
+        vocab, prompts, target, draft = _build_models(args, transcripts, config)
+        run_corpus(transcripts, prompts, vocab, target, draft, [config])
         assert _built_orders(target) == [2, 4], f"{corpus} {strategy}"
 
 
@@ -202,8 +205,10 @@ def test_lazy_orders_equal_eager_training(data_dir, tmp_path, monkeypatch, targe
     assert run_cli(*argv, "--out", tmp_path / "lazy.json") == 0
     train = copyspec.cli.train_kgram
 
-    def eager(seqs, k, vocab_size=None, resolve=None):
-        return train(seqs, k, vocab_size=vocab_size)
+    def eager(seqs, k, vocab_size=None):
+        model = train(seqs, k, vocab_size=vocab_size)
+        model.resolve(range(k + 1))
+        return model
 
     monkeypatch.setattr(copyspec.cli, "train_kgram", eager)
     assert run_cli(*argv, "--out", tmp_path / "eager.json") == 0
@@ -218,6 +223,21 @@ def test_csv_format_matches_json_records(small_corpus_path, tmp_path):
     lines = cpath.read_text().splitlines()
     assert set(lines[0].split(",")) == set(records[0].keys())
     assert len(lines) == len(records) + 1
+
+
+def test_csv_to_stdout_is_only_csv(small_corpus_path, tmp_path, capsys):
+    # without --out the pooled aggregate goes to stderr, so stdout parses as CSV
+    jpath = tmp_path / "m.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", jpath)
+    capsys.readouterr()
+    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--format", "csv") == 0
+    captured = capsys.readouterr()
+    doc = json.loads(jpath.read_text())
+    reader = csv.DictReader(io.StringIO(captured.out))
+    rows = list(reader)
+    assert sorted(reader.fieldnames) == sorted(doc["records"][0])
+    assert [row["transcript_id"] for row in rows] == [rec["transcript_id"] for rec in doc["records"]]
+    assert json.loads(captured.err.splitlines()[0]) == {"aggregate": doc["aggregate"]}
 
 
 def test_sweep_three_point_csv(small_corpus_path, tmp_path):
@@ -368,6 +388,16 @@ def test_train_lm_then_model_path_run(small_corpus_path, tmp_path):
     assert d["records"] == l["records"]
 
 
+def test_model_path_run_echoes_the_dumps_order(small_corpus_path, tmp_path):
+    # the dump's order is what runs, whatever --target-order says
+    dump, out = tmp_path / "lm3.json", tmp_path / "m.json"
+    assert run_cli("train-lm", "--corpus", small_corpus_path, "--order", "3", "--out", dump) == 0
+    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--model-path", dump, "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["target_order"] == 3
+    assert doc["records"] and all(rec["config_target_order"] == 3 for rec in doc["records"])
+
+
 def test_skipgram_command(small_corpus_path, tmp_path):
     out = tmp_path / "cs.json"
     assert (
@@ -379,14 +409,6 @@ def test_skipgram_command(small_corpus_path, tmp_path):
     )
     doc = json.loads(out.read_text())
     assert [p["gamma"] for p in doc["points"]] == [2, 3]
-
-
-def test_env_seed_override(small_corpus_path, tmp_path, monkeypatch):
-    out = tmp_path / "cs.json"
-    monkeypatch.setenv("COPYSPEC_SEED", "4242")
-    argv = ["skipgram", "--corpus", small_corpus_path, "--gammas", "2", "--dim", "4", "--epochs", "1", "--out", out]
-    assert run_cli(*argv) == 0
-    assert json.loads(out.read_text())["config"]["seed"] == 4242
 
 
 _LOADED_PROBE = """

@@ -38,20 +38,20 @@ def test_reserved_end_of_text():
 
 def test_tokenize_first_seen_ordering():
     vocab = Vocabulary()
-    ids = tokenize("a b a", vocab, grow=True)
+    ids = tokenize("a b a", vocab)
     # ids follow first-seen order starting right after the reserved symbol
     assert ids == [1, 2, 1]
     assert vocab.symbol_of(1) == "a" and vocab.symbol_of(2) == "b"
 
 
 def test_tokenize_empty():
-    assert tokenize("", Vocabulary(), grow=True) == []
+    assert tokenize("", Vocabulary()) == []
 
 
 def test_tokenize_unknown_symbol_raises():
     vocab = Vocabulary(["a"])
     with pytest.raises(UnknownSymbol):
-        tokenize("a b", vocab, grow=False)
+        vocab.id_of("b")
 
 
 def test_detokenize_trivial():
@@ -67,14 +67,14 @@ def test_detokenize_invalid_id():
 
 def test_round_trip_space_separated():
     vocab = Vocabulary()
-    ids = tokenize("x y z x", vocab, grow=True)
+    ids = tokenize("x y z x", vocab)
     assert tokenize(detokenize(ids, vocab), vocab) == ids
 
 
 def test_round_trip_random_sequences():
     # property oracle: tokenize(detokenize(s)) = s for random id sequences
     vocab = Vocabulary()
-    tokenize("ka le mi no pa ra su te vu wo", vocab, grow=True)
+    tokenize("ka le mi no pa ra su te vu wo", vocab)
     import random
 
     rng = random.Random(7)
@@ -85,13 +85,13 @@ def test_round_trip_random_sequences():
 
 def test_trailing_punctuation_split():
     vocab = Vocabulary()
-    assert [vocab.symbol_of(t) for t in tokenize("stop. wait;", vocab, grow=True)] == [
+    assert [vocab.symbol_of(t) for t in tokenize("stop. wait;", vocab)] == [
         "stop", ".", "wait", ";",
     ]
-    assert [vocab.symbol_of(t) for t in tokenize("end?!", vocab, grow=True)] == ["end", "?", "!"]
-    assert [vocab.symbol_of(t) for t in tokenize("...", vocab, grow=True)] == [".", ".", "."]
+    assert [vocab.symbol_of(t) for t in tokenize("end?!", vocab)] == ["end", "?", "!"]
+    assert [vocab.symbol_of(t) for t in tokenize("...", vocab)] == [".", ".", "."]
     # interior punctuation stays attached
-    assert [vocab.symbol_of(t) for t in tokenize("a.b", vocab, grow=True)] == ["a.b"]
+    assert [vocab.symbol_of(t) for t in tokenize("a.b", vocab)] == ["a.b"]
 
 
 @given(st.lists(st.sampled_from(["kite", "blue", "rock", "mi.xed", "?"]), max_size=12),
@@ -101,7 +101,7 @@ def test_whitespace_normalization(words, sep):
     # for text whose punctuation is already space-delimited
     text = sep.join(words)
     vocab = Vocabulary()
-    out = detokenize(tokenize(text, vocab, grow=True), vocab)
+    out = detokenize(tokenize(text, vocab), vocab)
     assert out == " ".join(text.split())
 
 
@@ -126,7 +126,7 @@ _PUNCT_AND_SPACE_TEXT = st.lists(
 def test_tokenize_splits_like_the_peeling_oracle(texts):
     vocab, reference = Vocabulary(), Vocabulary()
     for text in texts:
-        ids = tokenize(text, vocab, grow=True)
+        ids = tokenize(text, vocab)
         assert ids == [reference.add(w) for w in peel_split_words(text)]
         # the symbol list catches up on what tokenize added to the table
         assert [vocab.symbol_of(i) for i in ids] == peel_split_words(text)
@@ -139,8 +139,8 @@ def test_tokenize_splits_like_the_peeling_oracle(texts):
 
 def test_vocab_growth_append_only():
     vocab = Vocabulary()
-    first = tokenize("alpha beta gamma", vocab, grow=True)
-    tokenize("delta beta epsilon alpha", vocab, grow=True)
+    first = tokenize("alpha beta gamma", vocab)
+    tokenize("delta beta epsilon alpha", vocab)
     assert tokenize("alpha beta gamma", vocab) == first
 
 
@@ -224,5 +224,5 @@ def test_ingest_matches_assembly_and_prompts(transcripts, seeded):
     assert sequences == [assemble_transcript_tokens(t, reference) for t in transcripts]
     assert vocab.symbols == reference.symbols
     assert prompts == [
-        [turn_prefix_tokens(turn.text, reference, grow=False) for turn in t.user_turns()] for t in transcripts
+        [turn_prefix_tokens(turn.text, reference) for turn in t.user_turns()] for t in transcripts
     ]

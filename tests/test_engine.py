@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,7 +64,7 @@ def test_copy_attempt_fires_on_prompt_repeat():
     # engine proposes the tokens that followed the earlier occurrence
     vocab = Vocabulary()
     prompt_words = "a p q r s t b c p q r".split()
-    prompt = tokenize(" ".join(prompt_words), vocab, grow=True)
+    prompt = tokenize(" ".join(prompt_words), vocab)
     p, q, r, s, t = (vocab.id_of(w) for w in "pqrst")
     target = chain_table(prompt + [s, t, EOT_ID], vocab_size=len(vocab), order=3)
     out, log = generate(prompt, target, config=EngineConfig(strategy="copy", gamma=3))
@@ -177,9 +179,9 @@ def test_progress_and_accounting_invariants():
 def test_rollback_equivalence_replay():
     # truncate-to-zero-and-replay on the target reproduces the same argmax
     target = random_kgram_lm(np.random.default_rng(9), 12)
-    session = Session(target, None, EngineConfig(strategy="copy"))
+    session = Session(target, None, EngineConfig(strategy="copy", max_new_tokens=20))
     session.extend_context([1, 2, 3])
-    session.run(20)
+    session.run()
     assert session.target.state == tuple(session.context[:-1])
     live = session.target.score_block(session.context[-1:])  # the pending token
     session.target.truncate(0)
@@ -309,7 +311,7 @@ def test_non_copy_strategies_never_touch_the_index(redundant_setup, monkeypatch)
                 assert all(o.index_ops == 0 for o in result.outcomes)
                 costly = score_log(result.outcomes, CostModel(index_op_cost=0.5))
                 assert costly.sim_time == score_log(result.outcomes, CostModel()).sim_time
-                context += turn_prefix_tokens(turn.text, vocab, grow=False)
+                context += turn_prefix_tokens(turn.text, vocab)
                 assert result.output == greedy_reference(target, context, budget)
                 context += result.output
                 if len(result.output) < budget:
@@ -321,8 +323,8 @@ def make_repeat_transcript():
     vocab = Vocabulary()
     words = "w1 w2 w3 w4 w5 w6".split()
     ids = [vocab.add(w) for w in words]
-    u1 = tokenize("ask about topic", vocab, grow=True)
-    u2 = tokenize("repeat it please", vocab, grow=True)
+    u1 = tokenize("ask about topic", vocab)
+    u2 = tokenize("repeat it please", vocab)
     vocab.add("<user>")
     a_tag = vocab.add("<assistant>")
     table = {}
@@ -474,7 +476,8 @@ def test_session_interleavings_match_greedy_and_accounting(case):
         else:
             expected = greedy_reference(target, session.context, op)
             before, start = model_calls(session), len(session.context)
-            out, log = session.run(op)
+            session.config = replace(config, max_new_tokens=op)
+            out, log = session.run()
             assert out == expected
             assert_run_accounting(before, model_calls(session), log)
             assert_copy_lengths(session, start, op, log)
@@ -557,7 +560,7 @@ def test_copy_attempts_touch_the_index_once_per_committed_token(redundant_setup)
                 first = index.first = CountingDict()
                 for turn in transcript.user_turns():
                     t, first.calls["setdefault"] = len(context), 0
-                    session.extend_context(turn_prefix_tokens(turn.text, vocab, grow=False))
+                    session.extend_context(turn_prefix_tokens(turn.text, vocab))
                     assert first.calls == {"setdefault": new_grams(t, len(context), gamma), "get": 0}
                     budget = config.max_new_tokens
                     while budget > 0:

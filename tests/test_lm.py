@@ -219,7 +219,9 @@ def test_persistence_round_trip(tmp_path):
 def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, order, extra):
     # counts taken at a higher order, read at ``order``, score every prefix
     # as a model trained at ``order`` alone; one spawn is reused throughout
-    view = KgramLM(order, train_kgram(corpus, order + extra, vocab_size=6).counts, 6).spawn()
+    full = train_kgram(corpus, order + extra, vocab_size=6)
+    full.resolve(range(order + extra + 1))
+    view = KgramLM(order, full.counts, 6).spawn()
     alone = train_kgram(corpus, order, vocab_size=6)
     for seq in corpus + probes:
         view.truncate(0)
@@ -229,6 +231,7 @@ def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, or
 def test_view_dumps_only_its_own_orders():
     seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
     full = train_kgram(seqs, 4, vocab_size=4)
+    full.resolve(range(5))
     view = KgramLM(2, full.counts, 4, full.tables)
     assert view.to_dict() == train_kgram(seqs, 2, vocab_size=4).to_dict()
     assert [o for o, _ in view.to_dict()["counts"]] == [0, 1, 2]
@@ -253,6 +256,7 @@ def test_kgram_argmax_matches_naive_scan(case, order, extra):
     vocab, corpus, probes = case
     trained = train_kgram(corpus, order, vocab_size=vocab)
     full = train_kgram(corpus, order + extra, vocab_size=vocab)
+    full.resolve(range(order + extra + 1))
     view = KgramLM(order, full.counts, vocab, full.tables)
     with tempfile.TemporaryDirectory() as tmp:
         trained.save(Path(tmp) / "model.json")
@@ -278,9 +282,10 @@ def test_lazy_resolution_equals_eager_and_naive(case, order, data):
     # random order, score every prefix as a model with every order
     # resolved up front and as a naive scan of the corpus
     vocab, corpus, probes = case
-    lazy = train_kgram(corpus, order, vocab_size=vocab, resolve=[])
+    lazy = train_kgram(corpus, order, vocab_size=vocab)
     assert built_orders(lazy) == [order]
     eager = train_kgram(corpus, order, vocab_size=vocab)
+    eager.resolve(range(order + 1))
     low = data.draw(st.integers(1, order), label="view order")
     models = [lazy, lazy.spawn(), lazy.view(low)]
     pickled = data.draw(st.integers(0, 2), label="pickled")
@@ -310,12 +315,23 @@ def test_lazy_resolution_equals_eager_and_naive(case, order, data):
             assert model.tables[o] == eager.tables[o]
 
 
+def test_training_builds_only_the_models_order():
+    # train_kgram counts and resolves order k alone; a view builds its own
+    seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
+    model = train_kgram(seqs, 3, vocab_size=4)
+    assert built_orders(model) == [3] and sorted(model.counts) == [3]
+    view = model.view(1)
+    assert built_orders(model) == built_orders(view) == [1, 3]
+    assert sorted(model.counts) == [1, 3]
+
+
 def test_lazy_model_dumps_every_order(tmp_path):
     # ``to_dict`` counts the orders nothing has read yet before dumping
     seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
-    lazy = train_kgram(seqs, 3, vocab_size=4, resolve=[])
+    lazy = train_kgram(seqs, 3, vocab_size=4)
     assert sorted(lazy.counts) == [3]
     eager = train_kgram(seqs, 3, vocab_size=4)
+    eager.resolve(range(4))
     assert lazy.to_dict() == eager.to_dict()
     assert [o for o, _ in lazy.to_dict()["counts"]] == [0, 1, 2, 3]
     lazy.save(tmp_path / "lazy.json")
@@ -428,7 +444,7 @@ def verification_case(draw):
         model = TableLM(vocab, order, table, fallback=draw(tokens))
     else:
         corpus = draw(st.lists(st.lists(tokens, max_size=16), min_size=1, max_size=3))
-        model = train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab, resolve=[])
+        model = train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab)
     prefix = draw(st.lists(tokens, max_size=10))
     pending = draw(tokens)
     n = draw(st.integers(0, 6))
