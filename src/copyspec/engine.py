@@ -14,6 +14,15 @@ which may have appended its own rejected proposal, is rolled back to the
 accepted prefix; a plain step or a fully accepted proposal truncates
 nothing.
 
+A session without a draft (``baseline``, ``copy``) decodes each stretch
+of plain steps from one target generator
+(:meth:`~copyspec.lm.LangModel.decode`), one pass per token. The stretch
+ends at end-of-text, at the budget, or where the index holds a match for
+the context, and :meth:`Session.step` then makes the copy. Each token is
+still a plain attempt with its own record, charged the lookup and insert
+that a step charges. Copy and draft attempts always go through
+:meth:`Session.step`, the single-attempt API.
+
 Each model cache holds a prefix of the context. The newest committed
 token stays unseen (pending) until the next attempt scores it together
 with the proposal, so every attempt makes exactly one target pass, as
@@ -216,18 +225,58 @@ class Session:
         sentinel, which stays in the context) and the outcomes of this
         run's attempts. Committed tokens per attempt are accepted_k + 1, so
         the outcomes partition everything committed, sentinel included.
+        Without a draft, :meth:`_decode` makes the plain attempts; the
+        outcomes, context, caches and counters are those of calling
+        :meth:`step` throughout.
         """
-        budget = self.config.max_new_tokens
-        start = len(self.context)
+        context = self.context
+        if not context:
+            raise ValueError("run needs a non-empty context to score after")
+        start = len(context)
+        end = start + self.config.max_new_tokens
         outcomes: list[AttemptOutcome] = []
-        produced = 0
-        while produced < budget:
-            outcome = self.step(budget - produced)
+        while len(context) < end:
+            if self.draft is None and not self._decode(end, outcomes):
+                break
+            outcome = self.step(end - len(context))
             outcomes.append(outcome)
-            produced += outcome.accepted_k + 1
             if outcome.hit_eot:
-                return self.context[start:-1], outcomes
-        return self.context[start:], outcomes
+                break
+        if outcomes[-1].hit_eot:
+            return context[start:-1], outcomes
+        return context[start:], outcomes
+
+    def _decode(self, end: int, outcomes: list[AttemptOutcome]) -> bool:
+        """Plain steps from one target pass each, while nothing is proposed.
+
+        The steps read the target's greedy continuation
+        (:meth:`~copyspec.lm.LangModel.decode`), whose last token stays
+        pending. Each commits one token and logs the plain attempt that
+        :meth:`step` would make, charged the same lookup and insert.
+        Returns False at end-of-text or when the context reaches ``end``,
+        True when a copy is due: the index holds a match for the context
+        and :meth:`step` is to make the copy, lookup included.
+        """
+        context = self.context
+        index = self.index
+        shortest = 2 * self.config.gamma  # step looks up no shorter context
+        tokens = self.target.decode(context[-1])
+        while True:
+            index_ops = 0
+            if index is not None:
+                index_ops = 1  # the insert
+                if shortest <= len(context) < end - 1:  # room for a proposal
+                    if index.match is not None:
+                        return True
+                    index.lookup(context)
+                    index_ops = 2
+            tok = next(tokens)
+            context.append(tok)
+            if index is not None:
+                index.extend(context)
+            outcomes.append(AttemptOutcome(SOURCE_PLAIN, 0, 0, tok, tok == EOT_ID, index_ops))
+            if tok == EOT_ID or len(context) == end:
+                return False
 
 
 def generate(

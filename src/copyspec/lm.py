@@ -11,6 +11,9 @@ argmax n times, the greedy continuation a draft proposal needs.
 it stops at the first argmax that disagrees with the next block token,
 keeping only the agreed prefix appended, so nothing after a rejection is
 computed or has to be rolled back.
+``decode(pending)`` yields the greedy continuation one counted pass at a
+time and leaves the last token it yielded pending, for a consumer that
+stops at a point it chooses (the engine's plain steps).
 ``feed`` appends tokens whose predictions nobody reads (a prompt, the
 draft's catch-up) without scoring them, and ``truncate`` rolls the cache
 back to a shorter prefix. Scoring is a pure function of the prefix: any
@@ -19,8 +22,8 @@ scores identically to a fresh model fed that prefix. Every token's range
 is checked; a block or a feed holding a token outside the vocabulary is
 rejected, leaving the cache and the counters as they were.
 ``blocks_scored`` and ``tokens_scored`` count scoring passes (a block,
-and each continuation step) and the tokens they score, ``tokens_fed``
-the tokens fed.
+each continuation step, and each decoded token) and the tokens they
+score, ``tokens_fed`` the tokens fed.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
@@ -38,7 +41,7 @@ import json
 from collections import Counter
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Tables = list[dict[tuple[int, ...], int] | None]
 
@@ -143,6 +146,33 @@ class LangModel:
         self.blocks_scored += 1
         self.tokens_scored += len(block)
         return out
+
+    def decode(self, pending: int) -> Iterator[int]:
+        """The greedy continuation after the cached prefix plus ``pending``.
+
+        Each ``next`` is one pass, counted as one block of one token: it
+        appends the token before it (``pending`` first, then each argmax
+        yielded so far) and yields the argmax after it. A yielded token is
+        appended only when the next one is asked for, so a consumer that
+        stops leaves it pending. A token outside the vocabulary raises
+        :class:`InvalidToken` and leaves that pass's cache and counters as
+        they were. The cache must not change between two ``next`` calls.
+        """
+        state = self._state
+        vocab_size = self.vocab_size
+        order = self.order
+        top = self.tables[order].get
+        tok = pending
+        while True:
+            if not 0 <= tok < vocab_size:
+                raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
+            state.append(tok)
+            tok = top(tuple(state[-order:]))
+            if tok is None:
+                tok = self._backoff(state)
+            self.blocks_scored += 1
+            self.tokens_scored += 1
+            yield tok
 
     def feed(self, tokens: Sequence[int]) -> None:
         """Append tokens to the cache without scoring them.
@@ -324,9 +354,7 @@ class KgramLM(LangModel):
             int(o): Counter({(*ctx, int(tok)): int(c) for ctx, hist in contexts for tok, c in hist})
             for o, contexts in obj["counts"]
         }
-        model = cls(order=int(obj["order"]), counts=counts, vocab_size=int(obj["vocab_size"]))
-        model.resolve(range(model.order + 1))
-        return model
+        return cls(order=int(obj["order"]), counts=counts, vocab_size=int(obj["vocab_size"]))
 
     def save(self, path: str | Path, vocab_symbols: Sequence[str] | None = None) -> None:
         obj = self.to_dict()

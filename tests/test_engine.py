@@ -457,14 +457,38 @@ def sessions(draw):
     return target, draft, config, [draw(prompt)] + ops
 
 
+def step_run(session, budget):
+    """The attempts of a run made by ``step`` alone, one attempt per call."""
+    log, produced = [], 0
+    while produced < budget:
+        log.append(session.step(budget - produced))
+        produced += log[-1].accepted_k + 1
+        if log[-1].hit_eot:
+            break
+    return log
+
+
+def session_state(session):
+    """The context, target cache and counters, and index counters of a session."""
+    target, index = session.target, session.index
+    state = [session.context, target.state, target.blocks_scored, target.tokens_scored]
+    if index is not None:
+        state += [index.lookups, index.mix_ops, index.first]
+    return state
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(sessions())
 def test_session_interleavings_match_greedy_and_accounting(case):
+    # every run also drives a twin session by step() alone: a run's plain
+    # stretches decode from one target generator, yet log, commit, score
+    # and touch the index exactly as one step per attempt does
     target, draft, config, ops = case
     session = Session(target.spawn(), draft.spawn(), config)
+    twin = Session(target.spawn(), draft.spawn(), config)
     step = session.step
 
-    def checked_step(remaining):  # run() calls this per attempt
+    def checked_step(remaining):  # run() calls this per copy or draft attempt
         outcome = step(remaining)
         assert_cache_invariants(session)
         return outcome
@@ -473,6 +497,7 @@ def test_session_interleavings_match_greedy_and_accounting(case):
     for op in ops:
         if isinstance(op, list):
             session.extend_context(op)
+            twin.extend_context(op)
         else:
             expected = greedy_reference(target, session.context, op)
             before, start = model_calls(session), len(session.context)
@@ -481,18 +506,22 @@ def test_session_interleavings_match_greedy_and_accounting(case):
             assert out == expected
             assert_run_accounting(before, model_calls(session), log)
             assert_copy_lengths(session, start, op, log)
+            assert log == step_run(twin, op)
         assert_cache_invariants(session)
+        assert session_state(session) == session_state(twin)
 
 
 def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
     corpus, vocab, target, draft = redundant_setup
-    truncated = []  # (model, keep) per truncate call
+    truncated = []  # (model, keep) per truncate call in a step
+    truncations = []  # every truncate call's model, never cleared
     scored = []  # the model of each score_block call
-    truncate, score_block, step = LangModel.truncate, LangModel.score_block, Session.step
+    truncate, score_block, step, run = LangModel.truncate, LangModel.score_block, Session.step, Session.run
     kinds = set()
 
     def counted_truncate(self, keep_len):
         truncated.append((self, keep_len))
+        truncations.append(self)
         truncate(self, keep_len)
 
     def counted_score_block(self, *args, **kwargs):
@@ -519,12 +548,27 @@ def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
         assert len(truncated) == len(to_target) + len(to_draft)
         return o
 
+    def checked_run(self):
+        before = len(truncations)
+        result = run(self)
+        # plain runs decode without truncating, and leave the newest token pending
+        if self.draft is None:
+            assert len(truncations) == before
+        assert self.target.state_len == len(self.context) - 1
+        return result
+
     monkeypatch.setattr(LangModel, "truncate", counted_truncate)
     monkeypatch.setattr(LangModel, "score_block", counted_score_block)
     monkeypatch.setattr(Session, "step", checked_step)
+    monkeypatch.setattr(Session, "run", checked_run)
     for strategy in STRATEGIES:
         for transcript in corpus[:4]:
             run_transcript(transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy))
+    # a run makes plain attempts without step, so step a baseline session by hand
+    session = Session(target.spawn(), None, EngineConfig(strategy="baseline"))
+    session.extend_context(turn_prefix_tokens(corpus[0].user_turns()[0].text, vocab))
+    for _ in range(8):
+        session.step(8)
     assert kinds == {"plain", "accepted", "rejected"}
 
 

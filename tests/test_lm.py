@@ -337,16 +337,21 @@ def test_lazy_model_dumps_every_order(tmp_path):
     lazy.save(tmp_path / "lazy.json")
     eager.save(tmp_path / "eager.json")
     assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
-    # a loaded dump resolves every order at load, as eager training does
+    # a loaded dump resolves only its own order at load, as training does;
+    # the others resolve from the dumped counts to the eager tables
     loaded, _ = KgramLM.load(tmp_path / "lazy.json")
+    assert built_orders(loaded) == [3]
+    loaded.resolve(range(4))
     assert loaded.tables == eager.tables
 
 
 @st.composite
 def model_and_ops(draw):
     """A TableLM or KgramLM over a small vocabulary and a random run of feeds,
-    scored blocks, blocks scored with a greedy continuation (``then``) and
-    truncations (a truncation keeps a fraction of the cache)."""
+    scored blocks, blocks scored with a greedy continuation (``then``),
+    greedy decodes (a pending token, which may lie outside the vocabulary,
+    and how many argmaxes to read) and truncations (a truncation keeps a
+    fraction of the cache)."""
     vocab = draw(st.integers(2, 6))
     tokens = st.integers(0, vocab - 1)
     if draw(st.booleans()):
@@ -360,6 +365,7 @@ def model_and_ops(draw):
         st.tuples(st.just("feed"), st.lists(tokens, max_size=8)),
         st.tuples(st.just("score"), st.lists(tokens, min_size=1, max_size=8)),
         st.tuples(st.just("continue"), st.tuples(st.lists(tokens, min_size=1, max_size=4), st.integers(1, 5))),
+        st.tuples(st.just("decode"), st.tuples(st.integers(-1, vocab), st.integers(1, 5))),
         st.tuples(st.just("truncate"), st.floats(0, 1)),
     )
     return model, draw(st.lists(op, min_size=1, max_size=12))
@@ -397,6 +403,24 @@ def test_feed_then_score_equals_fresh_model(case):
             assert model.score_block(block, then=then) == expected
             scored_blocks += 1 + then
             scored_tokens += len(block) + then
+        elif kind == "decode":
+            # each argmax read is one pass of one token; the last one read
+            # stays pending, and a pending token outside the vocabulary
+            # leaves its pass's cache and counters as they were
+            pending, n = arg
+            tokens = model.decode(pending)
+            if not 0 <= pending < model.vocab_size:
+                with pytest.raises(InvalidToken):
+                    next(tokens)
+            else:
+                tok = pending
+                for _ in range(n):
+                    prefix.append(tok)
+                    tok = next(tokens)
+                    assert tok == fresh_argmax(model, prefix)
+                    scored_blocks += 1
+                    scored_tokens += 1
+                    assert (model.blocks_scored, model.tokens_scored) == (scored_blocks, scored_tokens)
         else:
             keep = int(arg * len(prefix))
             model.truncate(keep)
