@@ -240,9 +240,8 @@ def cmd_run(args) -> int:
     transcripts = _load_corpus(args.corpus)
     config = _engine_config(args)
     vocab, prompts, target, draft = _build_models(args, transcripts, config)
-    cost = _cost_model(args)
     echo = _config_echo(args, target.order)
-    runs = run_corpus(transcripts, prompts, vocab, target, draft, [config], cost, args.jobs)
+    runs = run_corpus(transcripts, prompts, vocab, target, draft, [config], args.cost, args.jobs)
 
     records = []
     by_turn: dict[int, list] = {}
@@ -273,11 +272,10 @@ def cmd_sweep(args) -> int:
     transcripts = _load_corpus(args.corpus)
     config = _engine_config(args)
     vocab, prompts, target, draft = _build_models(args, transcripts, config)
-    cost = _cost_model(args)
     axis = "gamma" if args.axis == "gamma" else "chunk_len"
     echo = _config_echo(args, target.order, {"axis": axis, "values": ",".join(map(str, args.values))})
 
-    result = sweep(transcripts, prompts, vocab, target, draft, config, axis, args.values, cost, args.jobs)
+    result = sweep(transcripts, prompts, vocab, target, draft, config, axis, args.values, args.cost, args.jobs)
     payload = {"config": echo, "sweep": result.to_dict()}
 
     if args.records_out:
@@ -337,8 +335,11 @@ def cmd_skipgram(args) -> int:
 def cmd_report(args) -> int:
     docs = []
     for path in args.paths:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "aggregate" not in doc or "config" not in doc:
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise RuntimeError(f"{path} is not JSON: {exc}") from None
+        if not isinstance(doc, dict) or "aggregate" not in doc or "config" not in doc:
             raise RuntimeError(f"{path} is not a metrics file produced by `copyspec run`")
         docs.append(doc)
 
@@ -396,6 +397,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "values", None) is not None:
         if any(b <= a for a, b in zip(args.values, args.values[1:])):
             parser.error("--values must be strictly increasing")
+    if args.command in ("run", "sweep"):
+        try:
+            args.cost = _cost_model(args)
+        except ValueError:  # the flags are >= 0, so both target costs are 0
+            parser.error("--cost-target and --cost-target-token cannot both be 0: no attempt would take time")
     handlers = {
         "run": cmd_run,
         "sweep": cmd_sweep,

@@ -29,9 +29,10 @@ with the proposal, so every attempt makes exactly one target pass, as
 the cost model charges. Context whose predictions nobody reads is fed to
 a cache unscored: each prompt, to both models when it is added, and the
 draft's catch-up on context it has not seen, at its next proposal. A
-draft proposal is one ``score_block`` call that continues greedily
-(:func:`~copyspec.lm.greedy_extend`) and counts one pass per drafted
-token. So the models' ``blocks_scored`` and ``tokens_scored`` equal what
+draft proposal reads the draft's own greedy continuation
+(:meth:`~copyspec.lm.LangModel.decode`) after the pending token, one
+counted pass per drafted token, and leaves its last token pending. So
+the models' ``blocks_scored`` and ``tokens_scored`` equal what
 :func:`~copyspec.metrics.attempt_cost` charges: one target pass per
 attempt, one draft pass per drafted token.
 
@@ -57,10 +58,11 @@ so generation never tokenizes. The process pool is imported only when
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from math import ceil
 
 from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
-from .lm import LangModel, greedy_extend
+from .lm import LangModel
 from .match_index import MatchIndex
 from .metrics import CostModel, RunMetrics, aggregate, score_log
 
@@ -214,7 +216,9 @@ class Session:
                 return self.verify_block(chunk, SOURCE_COPY, index_ops)
         draft = self.draft
         if draft is not None and cap >= 1:
-            proposal = greedy_extend(draft, context[draft.state_len:], min(cfg.draft_len, cap))
+            if draft.state_len < len(context) - 1:  # catch up, unscored, on all but the pending token
+                draft.feed(context[draft.state_len:-1])
+            proposal = list(islice(draft.decode(context[-1]), min(cfg.draft_len, cap)))
             return self.verify_block(proposal, SOURCE_DRAFT, index_ops)
         return self.verify_block([], SOURCE_PLAIN, index_ops)
 

@@ -5,15 +5,14 @@ tensors). ``score_block`` appends a block to the cache and returns, for
 each position i of the block, the argmax next token *after* the cached
 prefix plus ``block[:i+1]``, as the logits of a real forward pass do; so
 the last entry predicts the token that follows the whole block.
-``score_block(block, then=n)`` goes on to append and score its own last
-argmax n times, the greedy continuation a draft proposal needs.
 ``score_block(block, eot=id)`` verifies a proposal in the same one pass:
 it stops at the first argmax that disagrees with the next block token,
 keeping only the agreed prefix appended, so nothing after a rejection is
 computed or has to be rolled back.
 ``decode(pending)`` yields the greedy continuation one counted pass at a
 time and leaves the last token it yielded pending, for a consumer that
-stops at a point it chooses (the engine's plain steps).
+stops at a point it chooses (the engine's plain steps and draft
+proposals); it is the one free-running argmax loop.
 ``feed`` appends tokens whose predictions nobody reads (a prompt, the
 draft's catch-up) without scoring them, and ``truncate`` rolls the cache
 back to a shorter prefix. Scoring is a pure function of the prefix: any
@@ -21,9 +20,9 @@ sequence of feeds, appends and truncations that leaves the same prefix
 scores identically to a fresh model fed that prefix. Every token's range
 is checked; a block or a feed holding a token outside the vocabulary is
 rejected, leaving the cache and the counters as they were.
-``blocks_scored`` and ``tokens_scored`` count scoring passes (a block,
-each continuation step, and each decoded token) and the tokens they
-score, ``tokens_fed`` the tokens fed.
+``blocks_scored`` and ``tokens_scored`` count scoring passes (a block
+and each decoded token) and the tokens they score, ``tokens_fed`` the
+tokens fed.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
@@ -42,6 +41,8 @@ from collections import Counter
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+from .metrics import atomic_write_text
 
 Tables = list[dict[tuple[int, ...], int] | None]
 
@@ -85,29 +86,24 @@ class LangModel:
     def state(self) -> tuple[int, ...]:
         return tuple(self._state)
 
-    def score_block(self, block: Sequence[int], then: int = 0, eot: int | None = None) -> list[int]:
+    def score_block(self, block: Sequence[int], eot: int | None = None) -> list[int]:
         """Append the block; return the argmax after each block position.
 
         Entry i is the argmax given (cached prefix + block[:i+1]), so the
         last entry is the token that follows the whole block. One call
-        models a single parallel forward pass over the whole block. With
-        ``then`` > 0 the greedy continuation follows in the same call:
-        ``then`` times, the last argmax is appended and scored, so the
-        result has ``len(block) + then`` entries and its last is not
-        appended. Each continuation step is a pass of its own (it reads
-        the argmax before it) and is counted as one block of one token.
+        models a single parallel forward pass over the whole block.
 
-        With ``eot`` (the end-of-text id) and no ``then`` the call verifies:
-        the block is a pending token and a proposal, and scoring stops at the
-        first argmax that differs from the next block token or is ``eot``
-        (a proposed end-of-text is never accepted, only predicted). The
-        result is the k argmaxes that matched, then that one, and only
-        ``block[:k+1]`` stays appended. The pass is still counted as one
-        block of ``len(block)`` tokens, as the cost model charges it.
+        With ``eot`` (the end-of-text id) the call verifies: the block is a
+        pending token and a proposal, and scoring stops at the first argmax
+        that differs from the next block token or is ``eot`` (a proposed
+        end-of-text is never accepted, only predicted). The result is the k
+        argmaxes that matched, then that one, and only ``block[:k+1]`` stays
+        appended. The pass is still counted as one block of ``len(block)``
+        tokens, as the cost model charges it.
 
-        A token outside the vocabulary, anywhere in the block or in the
-        continuation, raises :class:`InvalidToken` and leaves the cache
-        and the counters as they were.
+        A token outside the vocabulary, anywhere in the block, raises
+        :class:`InvalidToken` and leaves the cache and the counters as they
+        were.
         """
         if not block:
             raise ValueError("block must be non-empty")
@@ -132,17 +128,6 @@ class LangModel:
             if nxt is None:
                 nxt = self._backoff(state)
             out.append(nxt)
-        if then:  # a draft's continuation; an empty loop would still cost every target call
-            for _ in range(then):
-                tok = out[-1]
-                if not 0 <= tok < vocab_size:
-                    del state[start:]
-                    raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
-                state.append(tok)
-                nxt = top(tuple(state[-order:]))
-                out.append(self._backoff(state) if nxt is None else nxt)
-            self.blocks_scored += then
-            self.tokens_scored += then
         self.blocks_scored += 1
         self.tokens_scored += len(block)
         return out
@@ -215,23 +200,6 @@ class LangModel:
     def spawn(self):
         """Fresh instance with an empty cache sharing the trained tables."""
         raise NotImplementedError
-
-
-def greedy_extend(model: LangModel, unseen: Sequence[int], n: int) -> list[int]:
-    """Greedily draft n tokens after the cached prefix plus ``unseen``.
-
-    ``unseen`` is the non-empty context the model has not seen yet. All of
-    it but its last token is fed unscored, since only the prediction after
-    the whole of it is read. Then one ``score_block`` call scores the last
-    unseen token and continues greedily for ``n - 1`` more tokens, so each
-    choice conditions on the ones before it; it counts one block and one
-    token per drafted token. The last drafted token is returned but not
-    fed.
-    """
-    if len(unseen) > 1:
-        model.feed(unseen[:-1])
-        unseen = unseen[-1:]
-    return model.score_block(unseen, then=n - 1)
 
 
 class TableLM(LangModel):
@@ -360,7 +328,7 @@ class KgramLM(LangModel):
         obj = self.to_dict()
         if vocab_symbols is not None:
             obj["vocab"] = list(vocab_symbols)
-        Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
+        atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["KgramLM", list[str] | None]:

@@ -29,7 +29,9 @@ class EmptyLog(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Time units charged per attempt component; all costs must be >= 0."""
+    """Time units charged per attempt component; all costs must be >= 0,
+    and the target's pass and per-token costs not both 0, so that every
+    attempt takes simulated time."""
 
     target_pass_cost: float = 1.0
     target_per_token_cost: float = 0.02
@@ -40,6 +42,8 @@ class CostModel:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be >= 0")
+        if self.target_pass_cost == self.target_per_token_cost == 0:
+            raise ValueError("target_pass_cost and target_per_token_cost cannot both be 0")
 
 
 @dataclass(frozen=True)

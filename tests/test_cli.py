@@ -272,10 +272,23 @@ def test_sweep_rejects_bad_values(small_corpus_path):
         (["sweep", "--axis", "gamma", "--values", "-1,4"], 2, "every value must be positive, got '-1,4'"),
         (["skipgram", "--gammas", "-2,3"], 2, "every value must be positive, got '-2,3'"),
         (["run", "--strategy", "copy", "--out", "{tmp}/missing/x.json"], 1, "cannot write {tmp}/missing/x.json"),
+        (
+            ["train-lm", "--out", "{tmp}/missing/lm.json"], 1,
+            "cannot write {tmp}/missing/lm.json: directory {tmp}/missing does not exist",
+        ),
+        (
+            ["run", "--strategy", "copy", "--cost-target", "0", "--cost-target-token", "0"], 2,
+            "--cost-target and --cost-target-token cannot both be 0",
+        ),
+        (
+            ["sweep", "--axis", "gamma", "--values", "2,3", "--cost-target", "0", "--cost-target-token", "0"], 2,
+            "--cost-target and --cost-target-token cannot both be 0",
+        ),
     ],
     ids=[
         "skipgram-gamma-zero", "skipgram-gamma-negative", "sweep-gamma-zero", "sweep-chunk-zero",
         "sweep-gamma-negative-first", "skipgram-gamma-negative-first", "out-missing-dir",
+        "train-lm-out-missing-dir", "run-zero-target-cost", "sweep-zero-target-cost",
     ],
 )
 def test_bad_input_exit_code_and_message(small_corpus_path, tmp_path, capsys, argv, code, message):
@@ -367,6 +380,15 @@ def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, cap
         capsys.readouterr()
         assert run_cli("report", run_file, path) == 1
         assert "not a metrics file produced by `copyspec run`" in capsys.readouterr().err
+
+
+def test_report_names_a_file_that_is_not_json(small_corpus_path, tmp_path, capsys):
+    base, table = tmp_path / "base.json", tmp_path / "base.csv"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--format", "csv", "--out", table)
+    capsys.readouterr()
+    assert run_cli("report", base, table) == 1
+    assert f"error: {table} is not JSON" in capsys.readouterr().err
 
 
 def test_report_markdown_output(small_corpus_path, tmp_path):

@@ -84,6 +84,34 @@ def test_merge_falls_back_to_draft_without_match():
     assert log[0].source == "draft" and log[0].proposed == 3
 
 
+def test_draft_proposal_conditions_on_own_tokens():
+    # the draft's greedy chain is 1 -> 2 -> 3 -> 4, one token of context at a time
+    table = {(1,): 2, (2,): 3, (3,): 4}
+    target = TableLM(vocab_size=6, order=1, table=table, fallback=1)
+    draft = TableLM(vocab_size=6, order=1, table=table, fallback=5)
+    calls = []  # a proposal makes at most one feed and exactly one decode call
+    for name in ("feed", "decode"):
+        method = getattr(draft, name)
+        setattr(draft, name, lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
+    session = Session(target, draft, EngineConfig(strategy="specdec", draft_len=3))
+    session.extend_context([5, 1])
+    calls.clear()
+    outcome = session.step(10)
+    assert (outcome.source, outcome.proposed, outcome.accepted_k, outcome.bonus) == ("draft", 3, 3, 1)
+    assert draft.state == (5, 1, 2, 3)  # the last drafted token is not appended
+    assert draft.blocks_scored == draft.tokens_scored == 3  # one pass counted per drafted token
+    assert calls == ["decode"]
+    # catching up on unseen context feeds all of it but the pending token unscored
+    draft.truncate(1)
+    calls.clear()
+    outcome = session.step(10)
+    assert (outcome.proposed, outcome.accepted_k) == (3, 3)
+    assert session.context == [5, 1, 2, 3, 4, 1, 2, 3, 4, 1]
+    assert draft.state == (5, 1, 2, 3, 4, 1, 2, 3) and draft.tokens_fed == 5
+    assert draft.blocks_scored == draft.tokens_scored == 6
+    assert calls == ["feed", "decode"]
+
+
 def test_specdec_without_draft_degrades_to_plain():
     target = chain_table([1, 2, 3, 4], vocab_size=5)
     out, log = generate([1, 2], target, None, EngineConfig(strategy="specdec", max_new_tokens=2))

@@ -11,11 +11,10 @@ from copyspec.lm import (
     KgramLM,
     TableLM,
     TruncateBeyondState,
-    greedy_extend,
     train_kgram,
 )
 
-from oracles import fresh_argmax, naive_kgram_argmax, random_kgram_lm, random_table_lm
+from oracles import fresh_argmax, greedy_reference, naive_kgram_argmax, random_kgram_lm, random_table_lm
 
 
 def next_argmax(model):
@@ -145,15 +144,16 @@ def test_rejected_block_changes_nothing(model):
 
 
 def test_continuation_past_the_vocabulary_changes_nothing():
-    # 1 -> 2 -> 9: the second continuation step would append 9
+    # 1 -> 2 -> 9: the third pass of decode(1) would append 9
     model = TableLM(vocab_size=4, order=1, table={(1,): 2, (2,): 9}, fallback=1)
     model.score_block([3])
+    tokens = model.decode(1)
+    assert [next(tokens), next(tokens)] == [2, 9]  # the last argmax is not appended
     before = (model.state, model.blocks_scored, model.tokens_scored)
+    assert before == ((3, 1, 2), 3, 3)
     with pytest.raises(InvalidToken):
-        model.score_block([1], then=2)
+        next(tokens)
     assert (model.state, model.blocks_scored, model.tokens_scored) == before
-    assert model.score_block([1], then=1) == [2, 9]  # the last argmax is not appended
-    assert model.state == (3, 1, 2)
 
 
 def test_counters():
@@ -176,25 +176,6 @@ def test_random_interleavings_match_fresh_model():
                 model.score_block(block)
         block = [int(x) for x in rng.integers(0, 12, size=int(rng.integers(1, 6)))]
         assert model.score_block(block)[-1] == fresh_argmax(model, model.state)
-
-
-def test_greedy_extend_conditions_on_own_tokens():
-    model = TableLM(vocab_size=6, order=1, table={(1,): 2, (2,): 3, (3,): 4}, fallback=5)
-    calls = []  # a proposal makes at most one feed and exactly one score_block call
-    for name in ("feed", "score_block"):
-        method = getattr(model, name)
-        setattr(model, name, lambda *a, _m=method, _n=name, **kw: calls.append(_n) or _m(*a, **kw))
-    assert greedy_extend(model, [1], 3) == [2, 3, 4]
-    assert model.state == (1, 2, 3)  # the last drafted token is not fed
-    assert model.blocks_scored == 3  # one pass counted per drafted token
-    assert calls == ["score_block"]
-    # catching up on unseen context feeds all of it but the last token unscored
-    model.truncate(0)
-    calls.clear()
-    assert greedy_extend(model, [4, 5, 1], 2) == [2, 3]
-    assert model.state == (4, 5, 1, 2) and model.tokens_fed == 2
-    assert model.blocks_scored == 5 and model.tokens_scored == 5
-    assert calls == ["feed", "score_block"]
 
 
 def test_persistence_round_trip(tmp_path):
@@ -348,10 +329,10 @@ def test_lazy_model_dumps_every_order(tmp_path):
 @st.composite
 def model_and_ops(draw):
     """A TableLM or KgramLM over a small vocabulary and a random run of feeds,
-    scored blocks, blocks scored with a greedy continuation (``then``),
-    greedy decodes (a pending token, which may lie outside the vocabulary,
-    and how many argmaxes to read) and truncations (a truncation keeps a
-    fraction of the cache)."""
+    scored blocks, greedy decodes (a pending token, which may lie outside
+    the vocabulary, and how many argmaxes to read; after a feed, this is a
+    draft proposal) and truncations (a truncation keeps a fraction of the
+    cache)."""
     vocab = draw(st.integers(2, 6))
     tokens = st.integers(0, vocab - 1)
     if draw(st.booleans()):
@@ -364,7 +345,6 @@ def model_and_ops(draw):
     op = st.one_of(
         st.tuples(st.just("feed"), st.lists(tokens, max_size=8)),
         st.tuples(st.just("score"), st.lists(tokens, min_size=1, max_size=8)),
-        st.tuples(st.just("continue"), st.tuples(st.lists(tokens, min_size=1, max_size=4), st.integers(1, 5))),
         st.tuples(st.just("decode"), st.tuples(st.integers(-1, vocab), st.integers(1, 5))),
         st.tuples(st.just("truncate"), st.floats(0, 1)),
     )
@@ -391,18 +371,6 @@ def test_feed_then_score_equals_fresh_model(case):
             prefix += arg
             scored_blocks += 1
             scored_tokens += len(arg)
-        elif kind == "continue":
-            # the continuation appends each argmax and scores it, as
-            # one-token calls would, and counts one pass per step
-            block, then = arg
-            expected = fresh_scores(model, prefix, block)
-            prefix += block
-            for _ in range(then):
-                prefix.append(expected[-1])
-                expected.append(fresh_argmax(model, prefix))
-            assert model.score_block(block, then=then) == expected
-            scored_blocks += 1 + then
-            scored_tokens += len(block) + then
         elif kind == "decode":
             # each argmax read is one pass of one token; the last one read
             # stays pending, and a pending token outside the vocabulary
@@ -472,7 +440,7 @@ def verification_case(draw):
     prefix = draw(st.lists(tokens, max_size=10))
     pending = draw(tokens)
     n = draw(st.integers(0, 6))
-    proposal = model.spawn().score_block(prefix + [pending], then=n)[len(prefix):len(prefix) + n]
+    proposal = greedy_reference(model, prefix + [pending], n, eot=-1)  # no token ends it
     if n:
         for i, tok in draw(st.dictionaries(st.integers(0, n - 1), tokens, max_size=2)).items():
             proposal[i] = tok

@@ -204,3 +204,8 @@ def test_records_emission_identical_columns():
 def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel(target_pass_cost=-1)
+    # an attempt must take simulated time, or sim_tps is undefined
+    with pytest.raises(ValueError, match="cannot both be 0"):
+        CostModel(target_pass_cost=0, target_per_token_cost=0)
+    assert CostModel(target_pass_cost=0).target_per_token_cost > 0
+    assert CostModel(target_per_token_cost=0).target_pass_cost > 0
