@@ -305,7 +305,6 @@ def generate(
 class TurnResult:
     turn: int  # 1-based user-turn number
     output: list[int]
-    outcomes: list[AttemptOutcome]
     metrics: RunMetrics
 
 
@@ -325,7 +324,10 @@ def run_transcript(
     are ignored). The match index persists and grows across turns.
     ``prompts`` are the user turns' tokens from
     :func:`~copyspec.corpus.ingest`; without them the user turns are
-    tokenized here, growing ``vocab``.
+    tokenized here, growing ``vocab``. Each turn's attempt log is scored
+    as soon as its run returns and then dropped, so a long session keeps
+    no per-attempt records; :meth:`Session.run` and :meth:`Session.step`
+    return them.
     """
     cost = cost or CostModel()
     if prompts is None:
@@ -334,15 +336,8 @@ def run_transcript(
     results: list[TurnResult] = []
     for turn_no, prompt in enumerate(prompts, start=1):
         session.extend_context(prompt)
-        output, outcomes = session.run()
-        results.append(
-            TurnResult(
-                turn=turn_no,
-                output=output,
-                outcomes=outcomes,
-                metrics=score_log(outcomes, cost),
-            )
-        )
+        output, log = session.run()
+        results.append(TurnResult(turn=turn_no, output=output, metrics=score_log(log, cost)))
     return results
 
 

@@ -49,9 +49,16 @@ class MatchIndex:
         overlap the suffix, is kept as the answer to :meth:`lookup`.
         """
         t = len(context)
+        g = self.gamma
+        if t == self.length + 1 and t >= g:  # one new token, one new gram: every plain step
+            begin = t - g
+            pos = self.first.setdefault(tuple(context[begin:]), begin + 1)
+            self.mix_ops += g
+            self.match = pos if pos + g - 1 <= begin else None
+            self.length = t
+            return
         if t < self.length:
             raise ValueError(f"index covers {self.length} tokens; context has only {t}")
-        g = self.gamma
         begin = self.length - g + 1  # 0-based start of the first new gram
         if begin < 0:
             begin = 0

@@ -117,13 +117,18 @@ def score_log(log: Sequence["AttemptOutcome"], cost: CostModel | None = None) ->
     # attempt_cost inlined, its terms added in the same order, so sim_time keeps its bits
     pass_cost, per_token = cost.target_pass_cost, cost.target_per_token_cost
     draft_cost, index_cost = cost.draft_token_cost, cost.index_op_cost
-    tokens_out = copied = copy_attempts = draft_attempts = draft_accepted = plain_steps = 0
+    tokens_out = len(log)  # the bonus of each attempt; accepted tokens are added below
+    copied = copy_attempts = draft_attempts = draft_accepted = 0
     sim_time = 0.0
     for o in log:
-        k = o.accepted_k
-        tokens_out += k + 1
-        time = pass_cost + per_token * (o.proposed + 1)
         source = o.source
+        if source == "plain":  # most attempts of most runs: no proposer to count
+            tokens_out += o.accepted_k
+            sim_time += pass_cost + per_token * (o.proposed + 1) + index_cost * o.index_ops
+            continue
+        k = o.accepted_k
+        tokens_out += k
+        time = pass_cost + per_token * (o.proposed + 1)
         if source == "copy":
             copy_attempts += 1
             copied += k
@@ -131,9 +136,8 @@ def score_log(log: Sequence["AttemptOutcome"], cost: CostModel | None = None) ->
             draft_attempts += 1
             draft_accepted += k
             time += draft_cost * o.proposed
-        else:
-            plain_steps += 1
         sim_time += time + index_cost * o.index_ops
+    plain_steps = len(log) - copy_attempts - draft_attempts
     return _derive(tokens_out, copied, copy_attempts, draft_attempts, draft_accepted, plain_steps, sim_time)
 
 
@@ -176,7 +180,11 @@ def metrics_record(
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    The file gets the mode a plain write would (0o666 less the umask), not
+    the temp file's 0o600.
+    """
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
@@ -185,6 +193,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -321,29 +322,60 @@ def test_non_copy_strategies_never_touch_the_index(redundant_setup, monkeypatch)
             return _method(self, *args)
 
         monkeypatch.setattr(MatchIndex, name, counted)
+    logs = []  # each turn's attempt log, as Session.run returns it
+    session_run = Session.run
+
+    def logged_run(self):
+        output, log = session_run(self)
+        logs.append(log)
+        return output, log
+
+    monkeypatch.setattr(Session, "run", logged_run)
     budget = EngineConfig().max_new_tokens
     for strategy in ("baseline", "specdec", "copy"):
         for transcript in corpus:
             for name in calls:
                 calls[name] = 0
+            logs.clear()
             results = run_transcript(
                 transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy)
             )
+            assert len(logs) == len(results)
             if strategy == "copy":  # the counters do see a copying session
                 assert calls["extend"] > 0 and calls["lookup"] > 0
                 continue
             assert calls == {"extend": 0, "lookup": 0}, strategy
             context: list[int] = []
-            for turn, result in zip(transcript.user_turns(), results):
+            for turn, result, log in zip(transcript.user_turns(), results, logs):
+                assert result.metrics == score_log(log)
                 # no index, so no index work is charged at any index cost
-                assert all(o.index_ops == 0 for o in result.outcomes)
-                costly = score_log(result.outcomes, CostModel(index_op_cost=0.5))
-                assert costly.sim_time == score_log(result.outcomes, CostModel()).sim_time
+                assert all(o.index_ops == 0 for o in log)
+                costly = score_log(log, CostModel(index_op_cost=0.5))
+                assert costly.sim_time == score_log(log, CostModel()).sim_time
                 context += turn_prefix_tokens(turn.text, vocab)
                 assert result.output == greedy_reference(target, context, budget)
                 context += result.output
                 if len(result.output) < budget:
                     context.append(EOT_ID)  # the end-of-text sentinel stays in the context
+
+
+def test_run_transcript_keeps_no_attempt_records(redundant_setup):
+    # a long session's results must not hold every earlier attempt's record
+    corpus, vocab, target, draft = redundant_setup
+
+    def live_records():
+        gc.collect()
+        return sum(isinstance(obj, AttemptOutcome) for obj in gc.get_objects())
+
+    transcript = max(corpus, key=lambda t: len(t.user_turns()))
+    assert len(transcript.user_turns()) > 1
+    before = live_records()
+    for strategy in STRATEGIES:
+        results = run_transcript(
+            transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy)
+        )
+        assert sum(r.metrics.tokens_out for r in results) > len(results)
+        assert live_records() == before, strategy
 
 
 def make_repeat_transcript():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from copyspec.metrics import (
     EmptyLog,
     aggregate,
     attempt_cost,
+    atomic_write_text,
     metrics_record,
     records_to_csv,
     records_to_json,
@@ -153,7 +156,8 @@ def attempt_logs(draw):
     log = []
     for _ in range(draw(st.integers(1, 40))):
         source = draw(st.sampled_from(["copy", "draft", "plain"]))
-        proposed = 0 if source == "plain" else draw(st.integers(1, 12))
+        # the engine's plain attempts propose nothing, but a record may say otherwise
+        proposed = draw(st.integers(0 if source == "plain" else 1, 12))
         k = draw(st.integers(0, proposed))
         log.append(AttemptOutcome(source, proposed, k, 1, False, draw(st.integers(0, 15))))
     return log
@@ -168,7 +172,11 @@ def test_score_log_sim_time_is_exactly_the_sum_of_attempt_costs(log, cost):
     total = 0.0
     for o in log:
         total += attempt_cost(o, cost)
-    assert score_log(log, cost).sim_time == total
+    got = score_log(log, cost).to_dict()
+    assert got["sim_time"] == total
+    want = reaggregate(log, cost)
+    for key in ("tokens_out", "copied_tokens", "copy_attempts", "draft_attempts", "draft_accepted", "plain_steps"):
+        assert got[key] == want[key], key
 
 
 def test_invariant_ranges_on_engine_log():
@@ -209,3 +217,17 @@ def test_cost_model_validation():
         CostModel(target_pass_cost=0, target_per_token_cost=0)
     assert CostModel(target_pass_cost=0).target_per_token_cost > 0
     assert CostModel(target_per_token_cost=0).target_pass_cost > 0
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask-022", "umask-002"])
+def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "atomic.json", "{}\n")
+        (tmp_path / "plain.json").write_text("{}\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "atomic.json").read_text() == "{}\n"
+    mode = (tmp_path / "atomic.json").stat().st_mode
+    assert mode == (tmp_path / "plain.json").stat().st_mode
+    assert mode & 0o777 == 0o666 & ~umask
