@@ -332,6 +332,21 @@ def cmd_skipgram(args) -> int:
     return 0
 
 
+REPORT_COLUMNS = ("sim_tps", "pct_copied", "tau1", "tau2")
+
+
+def _is_run_file(doc) -> bool:
+    """Whether ``doc`` holds what report reads of a `copyspec run` metrics file:
+    a strategy, and each turn's columns under its decimal turn number."""
+    try:
+        return isinstance(doc["config"]["strategy"], str) and all(
+            turn.isdecimal() and all(name in vals for name in REPORT_COLUMNS)
+            for turn, vals in doc["aggregate"]["by_turn"].items()
+        )
+    except (KeyError, TypeError, AttributeError):  # a part missing, or not a dict
+        return False
+
+
 def cmd_report(args) -> int:
     docs = []
     for path in args.paths:
@@ -339,13 +354,17 @@ def cmd_report(args) -> int:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # not JSON, or not UTF-8
             raise RuntimeError(f"{path} is not JSON: {exc}") from None
-        if not isinstance(doc, dict) or "aggregate" not in doc or "config" not in doc:
+        if not _is_run_file(doc):
             raise RuntimeError(f"{path} is not a metrics file produced by `copyspec run`")
         docs.append(doc)
 
     fingerprints = {doc["config"].get("corpus_fingerprint") for doc in docs}
     if len(fingerprints) > 1:
         print("warning: metric files were produced from different corpora", file=sys.stderr)
+    # speedups divide simulated rates, so they mean nothing across cost models
+    costs = [{k: v for k, v in doc["config"].items() if k.startswith("cost_")} for doc in docs]
+    if any(cost != costs[0] for cost in costs):
+        print("warning: metric files were produced under different cost models", file=sys.stderr)
 
     # a run file pools its turns in `aggregate.by_turn`, under its one strategy
     rows, sources = {}, {}
@@ -361,7 +380,7 @@ def cmd_report(args) -> int:
     if want_speedup and not baseline:
         raise MissingBaseline("no baseline run among the inputs; pass one or use --no-speedup")
 
-    header = ["strategy", "turn", "sim_tps", "pct_copied", "tau1", "tau2"]
+    header = ["strategy", "turn", *REPORT_COLUMNS]
     if want_speedup:
         header.append("speedup_vs_baseline")
     lines = []
@@ -369,10 +388,7 @@ def cmd_report(args) -> int:
         line = [
             strategy,
             str(turn),
-            f"{vals['sim_tps']:.4f}",
-            f"{vals['pct_copied']:.4f}",
-            f"{vals['tau1']:.4f}",
-            f"{vals['tau2']:.4f}",
+            *(f"{vals[name]:.4f}" for name in REPORT_COLUMNS),
         ]
         if want_speedup:
             ref = baseline.get(turn)

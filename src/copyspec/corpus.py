@@ -148,6 +148,8 @@ def _transcript_from_obj(obj: dict) -> Transcript:
             raise MissingField("role")
         if "text" not in item:
             raise MissingField("text")
+        if not isinstance(item["text"], str):
+            raise TypeError(f"turn {len(turns) + 1} text must be a string, got {type(item['text']).__name__}")
         turns.append(Turn(role=item["role"], text=item["text"]))
     return Transcript(id=str(obj["id"]), category=str(obj.get("category", "")), turns=tuple(turns))
 
@@ -157,7 +159,8 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
 
     Any malformed line raises :class:`ParseError` naming the 1-based line;
     the underlying cause (bad JSON, :class:`MissingField`,
-    :class:`BadRoleSequence`) is chained. Blank lines are skipped.
+    :class:`BadRoleSequence`, a turn text that is not a string) is
+    chained. Blank lines are skipped.
     """
     out: list[Transcript] = []
     with open(path, encoding="utf-8") as fh:

@@ -1,27 +1,22 @@
 """The generation loop: copy-first speculation, draft fallback, verification.
 
-Each step makes one attempt. If the strategy allows copying and the last
-gamma tokens of the accepted sequence occur earlier in it, the tokens that
-followed the earlier occurrence are proposed as a chunk and verified by
-the target model in one blockwise pass. Otherwise a smaller draft model
-may propose tokens. Verification accepts the longest prefix matching the
-target's argmax and always yields one extra guaranteed token from the
-target, which diverges from the first rejected token and so prevents
-repeated failed attempts at the same spot. The target's pass itself stops
-at the first rejected token (``score_block(..., eot=EOT_ID)``), so its
-cache ends at the accepted prefix and is never truncated. Only the draft,
-which may have appended its own rejected proposal, is rolled back to the
-accepted prefix; a plain step or a fully accepted proposal truncates
-nothing.
-
-A session without a draft (``baseline``, ``copy``) decodes each stretch
-of plain steps from one target generator
-(:meth:`~copyspec.lm.LangModel.decode`), one pass per token. The stretch
-ends at end-of-text, at the budget, or where the index holds a match for
-the context, and :meth:`Session.step` then makes the copy. Each token is
-still a plain attempt with its own record, charged the lookup and insert
-that a step charges. Copy and draft attempts always go through
-:meth:`Session.step`, the single-attempt API.
+One attempt loop makes every attempt of a session. At each position it
+looks up the index: if the strategy allows copying and the last gamma
+tokens of the accepted sequence occur earlier in it, the tokens that
+followed the earlier occurrence are proposed as a chunk. Otherwise a
+smaller draft model may propose tokens. The target verifies a proposal
+in one blockwise pass, which accepts the longest prefix matching the
+target's argmax and always yields one extra guaranteed token; that token
+diverges from the first rejected one and so prevents repeated failed
+attempts at the same spot. The pass stops at the first rejected token
+(``score_block(..., eot=EOT_ID)``), so the target's cache ends at the
+accepted prefix and is never truncated. Only the draft, which may have
+appended its own rejected proposal, is rolled back to the accepted
+prefix. With nothing proposed the attempt is a plain step, one token of
+the target's greedy continuation (:meth:`~copyspec.lm.LangModel.decode`);
+a stretch of plain steps reads one such generator, dropped when a
+proposal's pass moves the cache. :meth:`Session.run` runs the loop to
+end-of-text or the budget; :meth:`Session.step` makes one attempt of it.
 
 Each model cache holds a prefix of the context. The newest committed
 token stays unseen (pending) until the next attempt scores it together
@@ -41,8 +36,8 @@ only when the strategy copies, and a draft model only when it drafts.
 A copy proposal is sliced straight from the context, starting gamma
 tokens after the position the index returns. Each attempt appends its
 committed tokens to the context in place and extends the index (when
-copying) once over them; it returns its record, :class:`AttemptOutcome`,
-a slotted dataclass, and :meth:`Session.run` collects a run's records.
+copying) once over them; its record, an :class:`AttemptOutcome`, charges
+one index operation per committed token plus its lookup, if it made one.
 
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
@@ -60,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import ceil
+from typing import Iterator
 
 from .corpus import EOT_ID, Transcript, Vocabulary, turn_prefix_tokens
 from .lm import LangModel
@@ -74,7 +70,7 @@ SOURCE_PLAIN = "plain"
 
 
 class BudgetExhausted(RuntimeError):
-    """step() called with no output budget left; normal termination."""
+    """step() called with no output budget left; a run stops before that."""
 
 
 @dataclass(frozen=True)
@@ -160,26 +156,22 @@ class Session:
             if model is not None:
                 model.feed(self.context[model.state_len:-1])
 
-    def verify_block(self, proposal: list[int], source: str, index_ops: int = 0) -> AttemptOutcome:
-        """Score the pending token plus a proposal in one target pass.
+    def verify_block(self, proposal: list[int]) -> int:
+        """Verify a non-empty proposal in one target pass; commit, and return k.
 
         The target holds all the context but its last token, so the pass
         is over ``[context[-1], *proposal]``. In verification mode it
         returns its argmaxes up to the first that rejects a proposed token
         (or is end-of-text: an end-of-text that would be accepted becomes
-        the bonus instead), so the k accepted tokens are ``scores[:k]``
-        and the bonus is ``scores[k]``, the last; an empty proposal is a
-        plain step. So ``scores`` is exactly what the attempt commits. The
-        target's cache then ends at the accepted prefix; only a rejection
-        truncates the draft back to it. The committed bonus stays pending
-        in both caches.
+        the bonus instead): the k accepted tokens, then the bonus. They
+        extend the context and, when copying, the index. The target's
+        cache then ends at the accepted prefix; only a rejection truncates
+        the draft back to it. The bonus stays pending in both caches.
         """
         context = self.context
-        n = len(proposal)
         scores = self.target.score_block([context[-1], *proposal], eot=EOT_ID)
         k = len(scores) - 1
-        bonus = scores[k]
-        if k < n:
+        if k < len(proposal):
             keep = len(context) + k
             draft = self.draft
             if draft is not None and draft.state_len > keep:
@@ -187,40 +179,19 @@ class Session:
         context += scores
         if self.index is not None:
             self.index.extend(context)
-            index_ops += k + 1  # one insert per committed token
-        return AttemptOutcome(source, n, k, bonus, bonus == EOT_ID, index_ops)
+        return k
 
     def step(self, remaining: int) -> AttemptOutcome:
-        """One attempt: copy if a match exists, else draft, else plain.
+        """One attempt of the attempt loop: copy if a match exists, else draft, else plain.
 
         ``remaining`` is the output budget; proposals are capped so that
-        accepted tokens plus the bonus never overshoot it. The match
-        re-check against the last gamma tokens happens at the start of
-        every step, i.e. after each attempt.
+        accepted tokens plus the bonus never overshoot it.
         """
         if remaining < 1:
             raise BudgetExhausted(f"no output budget left ({remaining})")
         if not self.context:
             raise ValueError("step needs a non-empty context to score after")
-        cfg = self.config
-        context = self.context
-        cap = remaining - 1  # room for proposed tokens; the bonus takes the last slot
-        index_ops = 0
-        if self.index is not None and cap >= 1 and len(context) >= 2 * cfg.gamma:
-            index_ops += 1
-            pos = self.index.lookup(context)
-            if pos is not None:
-                # a hit ends before the suffix starts, so the chunk is non-empty
-                start = pos - 1 + cfg.gamma
-                chunk = context[start:start + min(cfg.chunk_len, cap)]
-                return self.verify_block(chunk, SOURCE_COPY, index_ops)
-        draft = self.draft
-        if draft is not None and cap >= 1:
-            if draft.state_len < len(context) - 1:  # catch up, unscored, on all but the pending token
-                draft.feed(context[draft.state_len:-1])
-            proposal = list(islice(draft.decode(context[-1]), min(cfg.draft_len, cap)))
-            return self.verify_block(proposal, SOURCE_DRAFT, index_ops)
-        return self.verify_block([], SOURCE_PLAIN, index_ops)
+        return next(self._attempts(len(self.context) + remaining))
 
     def run(self) -> tuple[list[int], list[AttemptOutcome]]:
         """Generate until end-of-text or ``config.max_new_tokens`` is exhausted.
@@ -229,58 +200,66 @@ class Session:
         sentinel, which stays in the context) and the outcomes of this
         run's attempts. Committed tokens per attempt are accepted_k + 1, so
         the outcomes partition everything committed, sentinel included.
-        Without a draft, :meth:`_decode` makes the plain attempts; the
-        outcomes, context, caches and counters are those of calling
-        :meth:`step` throughout.
+        The attempts are those of calling :meth:`step` throughout, and so
+        are the context, caches and counters they leave.
         """
         context = self.context
         if not context:
             raise ValueError("run needs a non-empty context to score after")
         start = len(context)
-        end = start + self.config.max_new_tokens
-        outcomes: list[AttemptOutcome] = []
-        while len(context) < end:
-            if self.draft is None and not self._decode(end, outcomes):
-                break
-            outcome = self.step(end - len(context))
-            outcomes.append(outcome)
-            if outcome.hit_eot:
-                break
-        if outcomes[-1].hit_eot:
-            return context[start:-1], outcomes
-        return context[start:], outcomes
+        log = list(self._attempts(start + self.config.max_new_tokens))
+        if log[-1].hit_eot:
+            return context[start:-1], log
+        return context[start:], log
 
-    def _decode(self, end: int, outcomes: list[AttemptOutcome]) -> bool:
-        """Plain steps from one target pass each, while nothing is proposed.
+    def _attempts(self, end: int) -> Iterator[AttemptOutcome]:
+        """The attempt loop: attempts until end-of-text or a context of ``end`` tokens.
 
-        The steps read the target's greedy continuation
-        (:meth:`~copyspec.lm.LangModel.decode`), whose last token stays
-        pending. Each commits one token and logs the plain attempt that
-        :meth:`step` would make, charged the same lookup and insert.
-        Returns False at end-of-text or when the context reaches ``end``,
-        True when a copy is due: the index holds a match for the context
-        and :meth:`step` is to make the copy, lookup included.
+        Each attempt looks up the index, then tries the draft, then makes
+        a plain step; with room for the bonus only it makes a plain step
+        at once. A stretch of plain steps reads one target generator.
         """
-        context = self.context
-        index = self.index
-        shortest = 2 * self.config.gamma  # step looks up no shorter context
-        tokens = self.target.decode(context[-1])
+        context, index, draft, cfg = self.context, self.index, self.draft, self.config
+        gamma, shortest = cfg.gamma, 2 * cfg.gamma  # no lookup in a shorter context
+        proposes = index is not None or draft is not None
+        last = end - 1  # a proposal needs a shorter context: the bonus takes the last slot
+        plain = None  # the target's greedy continuation while plain steps last
         while True:
             index_ops = 0
+            proposal = None
+            if proposes and (t := len(context)) < last:
+                cap = last - t  # room for proposed tokens
+                if index is not None and t >= shortest:
+                    index_ops = 1  # the lookup
+                    pos = index.lookup(context)
+                    if pos is not None:
+                        # a hit ends before the suffix starts, so the chunk is non-empty
+                        start = pos - 1 + gamma
+                        proposal = context[start:start + min(cfg.chunk_len, cap)]
+                        source = SOURCE_COPY
+                if draft is not None and proposal is None:
+                    if draft.state_len < t - 1:  # catch up, unscored, on all but the pending token
+                        draft.feed(context[draft.state_len:-1])
+                    proposal = list(islice(draft.decode(context[-1]), min(cfg.draft_len, cap)))
+                    source = SOURCE_DRAFT
+            if proposal is None:
+                if plain is None:
+                    plain = self.target.decode(context[-1])
+                bonus = next(plain)
+                context.append(bonus)
+                if index is not None:
+                    index.extend(context)
+                source, n, k = SOURCE_PLAIN, 0, 0
+            else:
+                n = len(proposal)
+                k = self.verify_block(proposal)
+                bonus = context[-1]
+                plain = None  # the pass moved the target's cache, which a generator must not see
             if index is not None:
-                index_ops = 1  # the insert
-                if shortest <= len(context) < end - 1:  # room for a proposal
-                    if index.match is not None:
-                        return True
-                    index.lookup(context)
-                    index_ops = 2
-            tok = next(tokens)
-            context.append(tok)
-            if index is not None:
-                index.extend(context)
-            outcomes.append(AttemptOutcome(SOURCE_PLAIN, 0, 0, tok, tok == EOT_ID, index_ops))
-            if tok == EOT_ID or len(context) == end:
-                return False
+                index_ops += k + 1  # one insert per committed token
+            yield AttemptOutcome(source, n, k, bonus, bonus == EOT_ID, index_ops)
+            if bonus == EOT_ID or len(context) >= end:
+                return
 
 
 def generate(

@@ -20,7 +20,7 @@ from copyspec.analysis import (
     permutation_baseline,
     train_left_skipgram,
 )
-from copyspec.corpus import Vocabulary, ingest, load_transcripts, training_sequences
+from copyspec.corpus import EOT_ID, Vocabulary, ingest, load_transcripts, training_sequences
 from copyspec.engine import EngineConfig, generate, run_transcript, sweep
 from copyspec.lm import train_kgram
 from copyspec.match_index import MatchIndex
@@ -154,10 +154,11 @@ def test_criterion_04_progress_and_accounting(randomized_runs):
         session = Session(target, None, EngineConfig())
         session.extend_context([int(x) for x in rng.integers(1, 12, size=6)])
         proposal = [int(x) for x in rng.integers(0, 12, size=int(rng.integers(1, 8)))]
-        outcome = session.verify_block(proposal, "copy", 0)
-        if outcome.accepted_k < outcome.proposed and not outcome.hit_eot:
+        k = session.verify_block(proposal)
+        bonus = session.context[-1]
+        if k < len(proposal) and bonus != EOT_ID:
             checked += 1
-            if outcome.bonus == proposal[outcome.accepted_k]:
+            if bonus == proposal[k]:
                 violations += 1
     assert violations == 0 and checked > 50
     print(

@@ -353,6 +353,21 @@ def test_report_warns_on_corpus_mismatch(small_corpus_path, tmp_path, capsys):
     assert "copy" in captured.out  # rows still printed
 
 
+def test_report_warns_on_cost_model_mismatch(small_corpus_path, tmp_path, capsys):
+    # a speedup divides two simulated rates, so both must come from one cost model
+    base, copy, free = tmp_path / "base.json", tmp_path / "copy.json", tmp_path / "free.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", copy)
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--cost-target", "0", "--out", free)
+    capsys.readouterr()
+    assert run_cli("report", base, copy) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert run_cli("report", base, free) == 0
+    captured = capsys.readouterr()
+    assert "different cost models" in captured.err
+    assert "copy" in captured.out  # rows still printed
+
+
 def test_report_rejects_two_files_for_one_strategy_and_turn(small_corpus_path, tmp_path, capsys):
     # two copy runs would fill the same (strategy, turn) rows; one would be lost
     base, one, two = tmp_path / "base.json", tmp_path / "one.json", tmp_path / "two.json"
@@ -367,16 +382,25 @@ def test_report_rejects_two_files_for_one_strategy_and_turn(small_corpus_path, t
 
 
 def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, capsys):
-    # report reads each run file's pooled `aggregate`; a sweep file, or a
-    # run file stripped of it, is not a run's metrics file
+    # report reads each run file's strategy and pooled `aggregate.by_turn`;
+    # a sweep file, or a run file stripped of either or with a turn that is
+    # not a number, is not a run's metrics file
     run_file, sweep_file = tmp_path / "run.json", tmp_path / "sweep.json"
     run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", run_file)
     run_cli("sweep", "--corpus", small_corpus_path, "--axis", "gamma", "--values", "2,3", "--out", sweep_file)
-    stripped = tmp_path / "stripped.json"
-    doc = json.loads(run_file.read_text())
-    del doc["aggregate"]
-    stripped.write_text(json.dumps(doc))
-    for path in (sweep_file, stripped):
+    broken = []
+    for name, damage in (
+        ("stripped", lambda doc: doc.pop("aggregate")),
+        ("no-strategy", lambda doc: doc["config"].pop("strategy")),
+        ("no-by-turn", lambda doc: doc["aggregate"].pop("by_turn")),
+        ("turn-not-a-number", lambda doc: doc["aggregate"]["by_turn"].update(one={})),
+        ("no-sim-tps", lambda doc: doc["aggregate"]["by_turn"]["1"].pop("sim_tps")),
+    ):
+        doc = json.loads(run_file.read_text())
+        damage(doc)
+        broken.append(tmp_path / f"{name}.json")
+        broken[-1].write_text(json.dumps(doc))
+    for path in (sweep_file, *broken):
         capsys.readouterr()
         assert run_cli("report", run_file, path) == 1
         assert "not a metrics file produced by `copyspec run`" in capsys.readouterr().err

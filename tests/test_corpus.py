@@ -176,6 +176,17 @@ def test_load_transcripts_missing_turns_names_line(tmp_path):
     assert isinstance(err.value.__cause__, MissingField)
 
 
+@pytest.mark.parametrize("text", [5, None, ["hi"]], ids=["int", "null", "list"])
+def test_load_transcripts_non_string_text_names_line(tmp_path, text):
+    path = tmp_path / "text.jsonl"
+    turns = [{"role": "user", "text": "q"}, {"role": "assistant", "text": text}]
+    path.write_text(json.dumps({"id": "a", "turns": turns}) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_transcripts(path)
+    assert err.value.line == 1
+    assert "turn 2 text must be a string" in str(err.value)
+
+
 def test_load_transcripts_bad_roles_named_line(tmp_path):
     path = tmp_path / "roles.jsonl"
     path.write_text(json.dumps({"id": "a", "turns": [{"role": "assistant", "text": "q"}]}) + "\n")

@@ -122,9 +122,10 @@ def test_specdec_without_draft_degrades_to_plain():
 def test_verify_block_partial_accept_and_divergence():
     session = Session(chain_table([1, 2, 3, 4, 5], vocab_size=10), None, EngineConfig())
     session.extend_context([1, 2])
-    outcome = session.verify_block([3, 4, 9, 9], "copy", index_ops=1)
-    assert outcome.accepted_k == 2
-    assert outcome.bonus == 5 and outcome.bonus != 9  # diverges from first reject
+    k = session.verify_block([3, 4, 9, 9])
+    assert k == 2
+    bonus = session.context[-1]
+    assert bonus == 5 and bonus != 9  # diverges from first reject
     assert session.context == [1, 2, 3, 4, 5]
     # the rejected tokens are rolled back and the bonus stays pending
     assert session.target.state == (1, 2, 3, 4)
@@ -140,13 +141,13 @@ def test_verify_block_full_accept_bonus_from_same_pass():
     assert reference[:4] == [4, 1, 2, 3]
     session = Session(target.spawn(), None, EngineConfig())
     session.extend_context([9, 1, 2])
-    outcome = session.verify_block([4, 1, 2, 3], "copy")
+    k = session.verify_block([4, 1, 2, 3])
     # the prompt is fed unscored, all but its pending newest token; the one
     # scored pass covers the pending token and the proposal
     assert session.target.tokens_fed == 2
     assert (session.target.blocks_scored, session.target.tokens_scored) == (1, 5)
-    assert outcome.accepted_k == 4
-    assert outcome.bonus == reference[4]
+    assert k == 4
+    assert session.context[-1] == reference[4]  # the bonus
     assert session.context == [9, 1, 2] + reference[:5]
 
 
@@ -163,10 +164,9 @@ def test_eot_accepted_inside_proposal_reclassified_as_bonus():
     target = chain_table(words, vocab_size=8, order=3)
     session = Session(target, None, EngineConfig())
     session.extend_context([5, 6, 7, 5, 6])
-    outcome = session.verify_block([7, EOT_ID, 5, 5], "copy", index_ops=0)
-    assert outcome.accepted_k == 1  # only the ordinary token counts as copied
-    assert outcome.bonus == EOT_ID and outcome.hit_eot
-    assert session.context[-1] == EOT_ID
+    k = session.verify_block([7, EOT_ID, 5, 5])
+    assert k == 1  # only the ordinary token counts as copied
+    assert session.context == [5, 6, 7, 5, 6, 7, EOT_ID]  # the bonus, which ends the output
 
 
 def test_budget_is_exact_and_step_raises_when_spent():
@@ -546,14 +546,14 @@ def test_session_interleavings_match_greedy_and_accounting(case):
     target, draft, config, ops = case
     session = Session(target.spawn(), draft.spawn(), config)
     twin = Session(target.spawn(), draft.spawn(), config)
-    step = session.step
+    step = twin.step
 
-    def checked_step(remaining):  # run() calls this per copy or draft attempt
+    def checked_step(remaining):  # step_run calls this per attempt
         outcome = step(remaining)
-        assert_cache_invariants(session)
+        assert_cache_invariants(twin)
         return outcome
 
-    session.step = checked_step
+    twin.step = checked_step
     for op in ops:
         if isinstance(op, list):
             session.extend_context(op)
@@ -575,8 +575,7 @@ def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
     corpus, vocab, target, draft = redundant_setup
     truncated = []  # (model, keep) per truncate call in a step
     truncations = []  # every truncate call's model, never cleared
-    scored = []  # the model of each score_block call
-    truncate, score_block, step, run = LangModel.truncate, LangModel.score_block, Session.step, Session.run
+    truncate, run = LangModel.truncate, Session.run
     kinds = set()
 
     def counted_truncate(self, keep_len):
@@ -584,21 +583,16 @@ def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
         truncations.append(self)
         truncate(self, keep_len)
 
-    def counted_score_block(self, *args, **kwargs):
-        scored.append(self)
-        return score_block(self, *args, **kwargs)
-
-    def checked_step(self, remaining):
+    def checked_step(session, remaining):
         truncated.clear()
-        scored.clear()
-        t = len(self.context)
-        o = step(self, remaining)
-        to_target = [keep for model, keep in truncated if model is self.target]
-        to_draft = [keep for model, keep in truncated if model is self.draft]
+        t, passes = len(session.context), session.target.blocks_scored
+        o = session.step(remaining)
+        to_target = [keep for model, keep in truncated if model is session.target]
+        to_draft = [keep for model, keep in truncated if model is session.draft]
         # one target pass, which stops at the accepted prefix: nothing to undo
-        assert [model for model in scored if model is self.target] == [self.target]
+        assert session.target.blocks_scored == passes + 1
         assert to_target == []
-        assert self.target.state_len == t + o.accepted_k
+        assert session.target.state_len == t + o.accepted_k
         if o.accepted_k < o.proposed:  # partly rejected: the draft rolls back to t + k
             kinds.add("rejected")
             assert to_draft in ([], [t + o.accepted_k])
@@ -618,18 +612,53 @@ def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
         return result
 
     monkeypatch.setattr(LangModel, "truncate", counted_truncate)
-    monkeypatch.setattr(LangModel, "score_block", counted_score_block)
-    monkeypatch.setattr(Session, "step", checked_step)
     monkeypatch.setattr(Session, "run", checked_run)
     for strategy in STRATEGIES:
+        config = EngineConfig(strategy=strategy)
         for transcript in corpus[:4]:
-            run_transcript(transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy))
-    # a run makes plain attempts without step, so step a baseline session by hand
-    session = Session(target.spawn(), None, EngineConfig(strategy="baseline"))
-    session.extend_context(turn_prefix_tokens(corpus[0].user_turns()[0].text, vocab))
-    for _ in range(8):
-        session.step(8)
+            run_transcript(transcript, vocab, target.spawn(), draft.spawn(), config)
+            # run makes its attempts without calling step, so step the same turns
+            session = Session(target.spawn(), draft.spawn(), config)
+            for turn in transcript.user_turns():
+                session.extend_context(turn_prefix_tokens(turn.text, vocab))
+                budget = config.max_new_tokens
+                while budget > 0:
+                    o = checked_step(session, budget)
+                    budget -= o.accepted_k + 1
+                    if o.hit_eot:
+                        break
     assert kinds == {"plain", "accepted", "rejected"}
+
+
+@pytest.mark.parametrize("strategy", ["specdec", "copy_plus_specdec"])
+def test_budget_final_plain_step_decodes(strategy, monkeypatch):
+    # with room for the bonus only, a drafting session proposes nothing: its
+    # plain step is one counted target pass of one token, not a scored block
+    target = chain_table([1, 2, 3, 4, 5, 6, 7], vocab_size=8)
+    draft = chain_table([1, 2, 3, 4, 5, 6, 7], vocab_size=8)
+    blocks = []
+    score_block = LangModel.score_block
+
+    def counted_score_block(self, *args, **kwargs):
+        blocks.append(self)
+        return score_block(self, *args, **kwargs)
+
+    monkeypatch.setattr(LangModel, "score_block", counted_score_block)
+    session = Session(target, draft, EngineConfig(strategy=strategy, draft_len=2, max_new_tokens=4))
+    session.extend_context([1, 2])
+    drafted = draft.blocks_scored
+    o = session.step(1)
+    assert (o.source, o.proposed, o.accepted_k, o.bonus) == ("plain", 0, 0, 3)
+    assert blocks == [] and draft.blocks_scored == drafted
+    assert (target.blocks_scored, target.tokens_scored) == (1, 1)
+    assert_cache_invariants(session)
+    # a run whose budget ends one token after a full draft ends the same way
+    out, log = session.run()
+    assert out == [4, 5, 6, 7]
+    assert [o.source for o in log] == ["draft", "plain"]
+    assert blocks == [target]  # the draft attempt's verification only
+    assert (target.blocks_scored, target.tokens_scored) == (3, 5)
+    assert_cache_invariants(session)
 
 
 class CountingDict(dict):
