@@ -104,14 +104,6 @@ def train_left_skipgram(
     return EmbeddingModel(gamma=gamma, vectors=vectors, out_vectors=out, epoch_losses=epoch_losses)
 
 
-def predict_distribution(embedding: EmbeddingModel, context: list[int]) -> np.ndarray:
-    """Softmax over the vocabulary given the mean context embedding."""
-    logits = embedding.out_vectors @ context_vector(embedding, context)
-    logits -= logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
-
-
 def cosine_similarity(context_vec: np.ndarray, token_vec: np.ndarray) -> float:
     """CS(a, b) = a.b / (|a| |b|); raises :class:`ZeroVector` on zero input.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -356,6 +357,11 @@ def cmd_report(args) -> int:
             raise RuntimeError(f"{path} is not JSON: {exc}") from None
         if not _is_run_file(doc):
             raise RuntimeError(f"{path} is not a metrics file produced by `copyspec run`")
+        for turn, vals in doc["aggregate"]["by_turn"].items():
+            for name in REPORT_COLUMNS:
+                v = vals[name]
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise RuntimeError(f"{path}: turn {turn} {name} is {json.dumps(v)}, not a finite number")
         docs.append(doc)
 
     fingerprints = {doc["config"].get("corpus_fingerprint") for doc in docs}
@@ -377,8 +383,12 @@ def cmd_report(args) -> int:
 
     baseline = {turn: vals for (strategy, turn), vals in rows.items() if strategy == "baseline"}
     want_speedup = not args.no_speedup
-    if want_speedup and not baseline:
-        raise MissingBaseline("no baseline run among the inputs; pass one or use --no-speedup")
+    if want_speedup:
+        if not baseline:
+            raise MissingBaseline("no baseline run among the inputs; pass one or use --no-speedup")
+        for turn, vals in baseline.items():
+            if vals["sim_tps"] <= 0:
+                raise RuntimeError(f"{sources['baseline', turn]}: turn {turn} sim_tps is {vals['sim_tps']}, not positive")
 
     header = ["strategy", "turn", *REPORT_COLUMNS]
     if want_speedup:

@@ -138,18 +138,30 @@ def detokenize(seq: list[int], vocab: Vocabulary) -> str:
     return " ".join(vocab.symbol_of(t) for t in seq)
 
 
+# each type a JSON value decodes to, named in JSON's terms
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _expect(value, kind: type, what: str) -> None:
+    """Raise :class:`TypeError` naming ``what`` unless the decoded ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}")
+
+
 def _transcript_from_obj(obj: dict) -> Transcript:
+    _expect(obj, dict, "a transcript")
     for name in ("id", "turns"):
         if name not in obj:
             raise MissingField(name)
+    _expect(obj["turns"], list, "turns")
     turns = []
-    for item in obj["turns"]:
-        if not isinstance(item, dict) or "role" not in item:
-            raise MissingField("role")
-        if "text" not in item:
-            raise MissingField("text")
-        if not isinstance(item["text"], str):
-            raise TypeError(f"turn {len(turns) + 1} text must be a string, got {type(item['text']).__name__}")
+    for n, item in enumerate(obj["turns"], start=1):
+        _expect(item, dict, f"turn {n}")
+        for name in ("role", "text"):
+            if name not in item:
+                raise MissingField(name)
+            _expect(item[name], str, f"turn {n} {name}")
         turns.append(Turn(role=item["role"], text=item["text"]))
     return Transcript(id=str(obj["id"]), category=str(obj.get("category", "")), turns=tuple(turns))
 
@@ -159,7 +171,7 @@ def load_transcripts(path: str | Path) -> list[Transcript]:
 
     Any malformed line raises :class:`ParseError` naming the 1-based line;
     the underlying cause (bad JSON, :class:`MissingField`,
-    :class:`BadRoleSequence`, a turn text that is not a string) is
+    :class:`BadRoleSequence`, a value of the wrong JSON type) is
     chained. Blank lines are skipped.
     """
     out: list[Transcript] = []

@@ -8,10 +8,10 @@ smaller draft model may propose tokens. The target verifies a proposal
 in one blockwise pass, which accepts the longest prefix matching the
 target's argmax and always yields one extra guaranteed token; that token
 diverges from the first rejected one and so prevents repeated failed
-attempts at the same spot. The pass stops at the first rejected token
-(``score_block(..., eot=EOT_ID)``), so the target's cache ends at the
-accepted prefix and is never truncated. Only the draft, which may have
-appended its own rejected proposal, is rolled back to the accepted
+attempts at the same spot. The pass (``score_block(pending, proposal,
+EOT_ID)``) stops at the first rejected token, so the target's cache ends
+at the accepted prefix and is never truncated. Only the draft, which may
+have appended its own rejected proposal, is rolled back to the accepted
 prefix. With nothing proposed the attempt is a plain step, one token of
 the target's greedy continuation (:meth:`~copyspec.lm.LangModel.decode`);
 a stretch of plain steps reads one such generator, dropped when a
@@ -159,17 +159,17 @@ class Session:
     def verify_block(self, proposal: list[int]) -> int:
         """Verify a non-empty proposal in one target pass; commit, and return k.
 
-        The target holds all the context but its last token, so the pass
-        is over ``[context[-1], *proposal]``. In verification mode it
-        returns its argmaxes up to the first that rejects a proposed token
-        (or is end-of-text: an end-of-text that would be accepted becomes
-        the bonus instead): the k accepted tokens, then the bonus. They
-        extend the context and, when copying, the index. The target's
-        cache then ends at the accepted prefix; only a rejection truncates
-        the draft back to it. The bonus stays pending in both caches.
+        The target holds all the context but its last token, so that token
+        is the pass's pending one. The pass returns its argmaxes up to the
+        first that rejects a proposed token (or is end-of-text: an
+        end-of-text that would be accepted becomes the bonus instead): the
+        k accepted tokens, then the bonus. They extend the context and,
+        when copying, the index. The target's cache then ends at the
+        accepted prefix; only a rejection truncates the draft back to it.
+        The bonus stays pending in both caches.
         """
         context = self.context
-        scores = self.target.score_block([context[-1], *proposal], eot=EOT_ID)
+        scores = self.target.score_block(context[-1], proposal, EOT_ID)
         k = len(scores) - 1
         if k < len(proposal):
             keep = len(context) + k

@@ -1,28 +1,18 @@
 """Deterministic reference language models behind a cached-prefix contract.
 
 A model holds an opaque cached prefix (the stand-in for per-layer KV
-tensors). ``score_block`` appends a block to the cache and returns, for
-each position i of the block, the argmax next token *after* the cached
-prefix plus ``block[:i+1]``, as the logits of a real forward pass do; so
-the last entry predicts the token that follows the whole block.
-``score_block(block, eot=id)`` verifies a proposal in the same one pass:
-it stops at the first argmax that disagrees with the next block token,
-keeping only the agreed prefix appended, so nothing after a rejection is
-computed or has to be rolled back.
-``decode(pending)`` yields the greedy continuation one counted pass at a
-time and leaves the last token it yielded pending, for a consumer that
-stops at a point it chooses (the engine's plain steps and draft
-proposals); it is the one free-running argmax loop.
-``feed`` appends tokens whose predictions nobody reads (a prompt, the
-draft's catch-up) without scoring them, and ``truncate`` rolls the cache
-back to a shorter prefix. Scoring is a pure function of the prefix: any
-sequence of feeds, appends and truncations that leaves the same prefix
-scores identically to a fresh model fed that prefix. Every token's range
-is checked; a block or a feed holding a token outside the vocabulary is
-rejected, leaving the cache and the counters as they were.
-``blocks_scored`` and ``tokens_scored`` count scoring passes (a block
-and each decoded token) and the tokens they score, ``tokens_fed`` the
-tokens fed.
+tensors). ``score_block(pending, proposal, eot)`` verifies a proposal in
+one pass over ``[pending, *proposal]`` that stops at the first rejection,
+so nothing after it is computed or has to be rolled back.
+``decode(pending)``, the one free-running argmax loop, yields the greedy
+continuation one counted pass at a time (plain steps, draft proposals).
+``feed`` appends tokens whose predictions nobody reads without scoring
+them, and ``truncate`` rolls the cache back. Scoring is a pure function
+of the prefix: any sequence of calls that leaves the same prefix scores
+identically to a fresh model fed that prefix. A pass or a feed holding a
+token outside the vocabulary is rejected, leaving the cache and the
+counters as they were. ``blocks_scored`` and ``tokens_scored`` count
+scoring passes and the tokens they score, ``tokens_fed`` the tokens fed.
 
 Every model scores from backoff tables, one per context length, mapping
 a context to its argmax; a miss at the longest context walks shorter
@@ -86,50 +76,44 @@ class LangModel:
     def state(self) -> tuple[int, ...]:
         return tuple(self._state)
 
-    def score_block(self, block: Sequence[int], eot: int | None = None) -> list[int]:
-        """Append the block; return the argmax after each block position.
+    def score_block(self, pending: int, proposal: Sequence[int], eot: int) -> list[int]:
+        """Verify ``proposal`` after the cached prefix plus ``pending`` in one pass.
 
-        Entry i is the argmax given (cached prefix + block[:i+1]), so the
-        last entry is the token that follows the whole block. One call
-        models a single parallel forward pass over the whole block.
+        Appends ``pending`` and reads the argmax after it, then, while that
+        argmax equals the next proposed token and is not ``eot`` (a proposed
+        end-of-text is never accepted, only predicted), appends the token
+        and reads the next. Returns the k accepted argmaxes, then the one
+        that ended the pass (the bonus); only ``pending`` and the k
+        accepted tokens stay appended. The pass is counted as one block of
+        ``len(proposal) + 1`` tokens, as the cost model charges it; with
+        nothing proposed it is one pass of one token.
 
-        With ``eot`` (the end-of-text id) the call verifies: the block is a
-        pending token and a proposal, and scoring stops at the first argmax
-        that differs from the next block token or is ``eot`` (a proposed
-        end-of-text is never accepted, only predicted). The result is the k
-        argmaxes that matched, then that one, and only ``block[:k+1]`` stays
-        appended. The pass is still counted as one block of ``len(block)``
-        tokens, as the cost model charges it.
-
-        A token outside the vocabulary, anywhere in the block, raises
-        :class:`InvalidToken` and leaves the cache and the counters as they
-        were.
+        A token outside the vocabulary, ``pending`` or anywhere in the
+        proposal, raises :class:`InvalidToken` before anything is appended,
+        so the cache and the counters stay as they were.
         """
-        if not block:
-            raise ValueError("block must be non-empty")
-        state = self._state
-        start = len(state)
         vocab_size = self.vocab_size
+        if not 0 <= pending < vocab_size:
+            raise InvalidToken(f"token {pending} outside vocab of size {vocab_size}")
+        for tok in proposal:
+            if not 0 <= tok < vocab_size:
+                raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
+        state = self._state
         order = self.order
         top = self.tables[order].get
         out = []
-        for tok in block:
-            if not 0 <= tok < vocab_size:
-                del state[start:]  # undo the block: the cache stays as it was
-                raise InvalidToken(f"token {tok} outside vocab of size {vocab_size}")
-            if eot is not None and out and (nxt != tok or nxt == eot):
-                # verifying, scoring stops here and the rest is only range-checked:
-                # None disagrees with every later token
-                nxt = None
-                continue
+        tok = pending
+        for proposed in [*proposal, None]:  # no argmax is None: the bonus ends the pass
             state.append(tok)
             # a prefix shorter than order gives a short key, never in the top table
-            nxt = top(tuple(state[-order:]))
-            if nxt is None:
-                nxt = self._backoff(state)
-            out.append(nxt)
+            tok = top(tuple(state[-order:]))
+            if tok is None:
+                tok = self._backoff(state)
+            out.append(tok)
+            if tok != proposed or tok == eot:
+                break
         self.blocks_scored += 1
-        self.tokens_scored += len(block)
+        self.tokens_scored += len(proposal) + 1
         return out
 
     def decode(self, pending: int) -> Iterator[int]:

@@ -1,11 +1,12 @@
 """Independent oracles used to derive expected values.
 
 Everything here deliberately avoids the implementation paths it checks:
-the match oracle is a naive full scan, the greedy reference drives the
-model interface token by token without the engine, the metrics oracle
-re-aggregates raw logs from scratch, and the transcript assembly
-tokenizes word by word, splitting with a punctuation-peeling loop,
-without the corpus's ingest pass or its tokenizer.
+the match oracle is a naive full scan, the argmax oracle reads the
+model's backoff tables directly, without scoring through the model (the
+greedy reference reads it token by token, without the engine), the
+metrics oracle re-aggregates raw logs from scratch, and the transcript
+assembly tokenizes word by word, splitting with a punctuation-peeling
+loop, without the corpus's ingest pass or its tokenizer.
 """
 
 from __future__ import annotations
@@ -90,19 +91,34 @@ def naive_kgram_argmax(corpus, k, prefix):
     return 0
 
 
-def fresh_argmax(model: LangModel, prefix):
-    """Next-token argmax of a fresh clone fed exactly ``prefix`` (non-empty)."""
-    return model.spawn().score_block(list(prefix))[-1]
+def table_argmax(model: LangModel, prefix):
+    """Argmax after ``prefix``, read straight from ``model.tables``.
+
+    The longest context, up to ``model.order`` tokens, whose table has an
+    entry wins; a None table is built through ``model._resolve``; a prefix
+    with no entry at any length predicts ``model.fallback``. It calls
+    neither ``score_block`` nor ``decode``, which the tests check against it.
+    """
+    prefix = tuple(prefix)
+    for o in range(min(model.order, len(prefix)), -1, -1):
+        table = model.tables[o]
+        if table is None:
+            table = model._resolve(o)
+        nxt = table.get(prefix[len(prefix) - o:])
+        if nxt is not None:
+            return nxt
+    return model.fallback
 
 
 def greedy_reference(model: LangModel, prompt, max_new, eot=0):
-    """Token-by-token greedy decode using only raw model calls."""
-    clone = model.spawn()
+    """Greedy decode after ``prompt``, one table read per token."""
+    seq = list(prompt)
     out = []
-    nxt = clone.score_block(list(prompt))[-1]
+    nxt = table_argmax(model, seq)
     while len(out) < max_new and nxt != eot:
         out.append(nxt)
-        nxt = clone.score_block([nxt])[-1]
+        seq.append(nxt)
+        nxt = table_argmax(model, seq)
     return out
 
 

@@ -120,13 +120,16 @@ def test_criterion_03_rollback_equivalence():
                     model.truncate(int(rng.integers(0, model.state_len + 1)))
                 else:
                     size = int(rng.integers(1, 7))
-                    model.score_block([int(x) for x in rng.integers(0, model.vocab_size, size=size)])
+                    block = [int(x) for x in rng.integers(0, model.vocab_size, size=size)]
+                    if rng.random() < 0.5:
+                        model.feed(block)
+                    else:  # a verification pass of block[1:] after block[0]
+                        model.score_block(block[0], block[1:], EOT_ID)
             prefix = list(model.state)
-            live = model.score_block([0])[0]
+            live = model.score_block(0, [], EOT_ID)[0]
             fresh = model.spawn()
-            if prefix:
-                fresh.score_block(prefix)
-            assert fresh.score_block([0])[0] == live, name
+            fresh.feed(prefix)
+            assert fresh.score_block(0, [], EOT_ID)[0] == live, name
     print("ACCEPTANCE 3 rollback-equivalence: PASS   500 interleavings per reference model")
 
 

@@ -10,7 +10,6 @@ from copyspec.analysis import (
     cs_profile,
     cs_study,
     permutation_baseline,
-    predict_distribution,
     train_left_skipgram,
 )
 from copyspec.engine import EngineConfig, run_transcript, sweep
@@ -113,14 +112,13 @@ def test_skipgram_learns_planted_pair():
     fillers = [int(f) for f in rng.permutation(np.arange(3, 43))[:30]]
     corpus = [sum([[f, 1, 1, 2] for f in fillers], [])]
     emb = train_left_skipgram(corpus, gamma=2, dim=16, epochs=30, learning_rate=0.3, seed=0)
-    probs = predict_distribution(emb, [1, 1])
-    assert int(np.argmax(probs)) == 2
+    logits = emb.out_vectors @ context_vector(emb, [1, 1])
+    assert int(np.argmax(logits)) == 2  # the softmax's argmax
 
 
 def test_skipgram_single_token_vocab_trivial_softmax():
     emb = train_left_skipgram([[0, 0, 0, 0]], gamma=2, dim=2, epochs=3, seed=1)
-    probs = predict_distribution(emb, [0, 0])
-    assert probs[0] == pytest.approx(1.0)  # single class: P = 1
+    assert emb.epoch_losses == [0.0, 0.0, 0.0]  # single class: P = 1, so -log P = 0
     assert emb.vectors.shape == (1, 2)
 
 

@@ -406,6 +406,34 @@ def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, cap
         assert "not a metrics file produced by `copyspec run`" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [("tau1", "x", '"x"'), ("sim_tps", None, "null"), ("pct_copied", True, "true"), ("tau2", float("nan"), "NaN")],
+    ids=["string", "null", "bool", "nan"],
+)
+def test_report_names_a_column_that_is_not_a_finite_number(small_corpus_path, tmp_path, capsys, field, value, shown):
+    base, bad = tmp_path / "base.json", tmp_path / "bad.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    doc = json.loads(base.read_text())
+    doc["aggregate"]["by_turn"]["2"][field] = value
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", bad, "--no-speedup") == 1
+    assert f"error: {bad}: turn 2 {field} is {shown}, not a finite number" in capsys.readouterr().err
+
+
+def test_report_rejects_a_zero_baseline_rate_for_speedups(small_corpus_path, tmp_path, capsys):
+    base = tmp_path / "base.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    doc = json.loads(base.read_text())
+    doc["aggregate"]["by_turn"]["1"]["sim_tps"] = 0
+    base.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", base) == 1
+    assert f"error: {base}: turn 1 sim_tps is 0, not positive" in capsys.readouterr().err
+    assert run_cli("report", base, "--no-speedup") == 0
+
+
 def test_report_names_a_file_that_is_not_json(small_corpus_path, tmp_path, capsys):
     base, table = tmp_path / "base.json", tmp_path / "base.csv"
     run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)

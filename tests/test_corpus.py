@@ -187,6 +187,26 @@ def test_load_transcripts_non_string_text_names_line(tmp_path, text):
     assert "turn 2 text must be a string" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"id": "b", "turns": None}, "line 2: turns must be a list, got null"),
+        ({"id": "b", "turns": "hi"}, "line 2: turns must be a list, got a string"),
+        ({"id": "b", "turns": [5]}, "line 2: turn 1 must be an object, got a number"),
+        ({"id": "b", "turns": [{"role": 1, "text": "q"}]}, "line 2: turn 1 role must be a string, got a number"),
+        (["b"], "line 2: a transcript must be an object, got a list"),
+    ],
+    ids=["turns-null", "turns-string", "turn-number", "role-number", "line-list"],
+)
+def test_load_transcripts_wrong_json_type_names_line_and_field(tmp_path, obj, message):
+    path = tmp_path / "types.jsonl"
+    good = json.dumps({"id": "a", "turns": [{"role": "user", "text": "q"}]})
+    path.write_text(good + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_transcripts(path)
+    assert str(err.value) == message
+
+
 def test_load_transcripts_bad_roles_named_line(tmp_path):
     path = tmp_path / "roles.jsonl"
     path.write_text(json.dumps({"id": "a", "turns": [{"role": "assistant", "text": "q"}]}) + "\n")

@@ -20,12 +20,12 @@ from copyspec.match_index import MatchIndex
 from copyspec.metrics import CostModel, score_log
 
 from oracles import (
-    fresh_argmax,
     greedy_reference,
     naive_first_positions,
     naive_match_scan,
     random_kgram_lm,
     random_table_lm,
+    table_argmax,
 )
 
 
@@ -212,10 +212,11 @@ def test_rollback_equivalence_replay():
     session.extend_context([1, 2, 3])
     session.run()
     assert session.target.state == tuple(session.context[:-1])
-    live = session.target.score_block(session.context[-1:])  # the pending token
+    live = session.target.score_block(session.context[-1], [], EOT_ID)  # the pending token
     session.target.truncate(0)
-    assert session.target.score_block(session.context)[-1:] == live
-    assert live == [fresh_argmax(session.target, session.context)]
+    session.target.feed(session.context[:-1])
+    assert session.target.score_block(session.context[-1], [], EOT_ID) == live
+    assert live == [table_argmax(session.target, session.context)]
 
 
 def test_generate_requires_prompt():

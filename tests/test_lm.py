@@ -14,26 +14,33 @@ from copyspec.lm import (
     train_kgram,
 )
 
-from oracles import fresh_argmax, greedy_reference, naive_kgram_argmax, random_kgram_lm, random_table_lm
+from oracles import greedy_reference, naive_kgram_argmax, random_kgram_lm, random_table_lm, table_argmax
+
+EOT = 0  # the end-of-text id of the passes below; a pass with nothing proposed never reads it
+
+
+def scores(model, seq):
+    """The argmax after each token of ``seq``, appending each in a pass of one token."""
+    return [model.score_block(tok, [], EOT)[0] for tok in seq]
 
 
 def next_argmax(model):
-    """Argmax after the model's cached prefix, read from a fresh clone."""
-    return fresh_argmax(model, model.state)
+    """Argmax after the model's cached prefix, read from its tables."""
+    return table_argmax(model, model.state)
 
 
 def test_table_read_after_known_context():
     model = TableLM(vocab_size=10, order=2, table={(1, 2): 3}, fallback=0)
-    assert model.score_block([1]) == [0]  # short prefix falls back
-    scores = model.score_block([2, 0])
-    assert scores[0] == 3  # argmax after [1, 2] is the table entry
-    assert scores[1] == 0  # (2, 0) is not listed
+    assert scores(model, [1]) == [0]  # short prefix falls back
+    read = scores(model, [2, 0])
+    assert read[0] == 3  # argmax after [1, 2] is the table entry
+    assert read[1] == 0  # (2, 0) is not listed
 
 
 def test_kgram_counts_by_hand():
     # corpus [1,2,3,1,2,3], k=2: context (1,2) is always followed by 3
     model = train_kgram([[1, 2, 3, 1, 2, 3]], k=2)
-    model.score_block([1, 2])
+    model.feed([1, 2])
     assert next_argmax(model) == 3
     # independent hand count of the same corpus
     count = sum(
@@ -46,16 +53,16 @@ def test_kgram_counts_by_hand():
 
 def test_score_block_purity_after_truncate():
     model = train_kgram([[1, 2, 3, 4, 1, 2, 3, 4, 0]], k=3)
-    model.score_block([1, 2])
+    model.feed([1, 2])
     n = model.state_len
-    first = model.score_block([3, 4, 1])
+    first = scores(model, [3, 4, 1])
     model.truncate(n)
-    assert model.score_block([3, 4, 1]) == first
+    assert scores(model, [3, 4, 1]) == first
 
 
 def test_truncate_noop_and_errors():
     model = TableLM(vocab_size=4, order=1, table={}, fallback=1)
-    model.score_block([1, 2, 3])
+    model.feed([1, 2, 3])
     model.truncate(3)
     assert model.state == (1, 2, 3)
     with pytest.raises(TruncateBeyondState):
@@ -66,34 +73,34 @@ def test_truncate_noop_and_errors():
 
 def test_truncate_to_zero_equals_fresh():
     model = train_kgram([[1, 2, 1, 2, 3, 0]], k=2)
-    fresh_scores = model.spawn().score_block([1, 2, 1])
-    model.score_block([3, 2, 1])
+    fresh_scores = scores(model.spawn(), [1, 2, 1])
+    model.feed([3, 2, 1])
     model.truncate(0)
-    assert model.score_block([1, 2, 1]) == fresh_scores
+    assert scores(model, [1, 2, 1]) == fresh_scores
 
 
 def test_truncate_then_append_matches_fresh_model():
     # append [1,2,3,4], truncate(2), append [9]: scoring matches fresh [1,2,9]
     model = train_kgram([[1, 2, 9, 5, 1, 2, 3, 4, 0]], k=3, vocab_size=10)
-    model.score_block([1, 2, 3, 4])
+    model.feed([1, 2, 3, 4])
     model.truncate(2)
-    assert model.score_block([9]) == [fresh_argmax(model, [1, 2, 9])]
+    assert model.score_block(9, [], EOT) == [table_argmax(model, [1, 2, 9])]
 
 
 def test_train_kgram_hand_counts():
     model = train_kgram([[1, 2, 1, 2, 1]], k=1)
-    model.score_block([1])
+    model.feed([1])
     assert next_argmax(model) == 2
     assert model.counts[1] == {(1, 2): 2, (2, 1): 2}
     # after 1: 2 twice, 3 once
     model = train_kgram([[1, 2, 1, 3, 1, 2, 0]], k=1)
     assert {gram: c for gram, c in model.counts[1].items() if gram[0] == 1} == {(1, 2): 2, (1, 3): 1}
-    assert model.spawn().score_block([1]) == [2]
+    assert scores(model.spawn(), [1]) == [2]
 
 
 def test_train_kgram_backoff_single_symbol():
     model = train_kgram([[7]], k=2, vocab_size=8)
-    model.score_block([3])
+    model.feed([3])
     assert next_argmax(model) == 7  # no higher-order context: unigram backoff
 
 
@@ -103,25 +110,25 @@ def test_train_kgram_deterministic():
     b = train_kgram(corpus, k=2)
     assert a.counts == b.counts
     for ctx in [[1], [2], [1, 2], [3, 2], [0, 0]]:
-        assert a.spawn().score_block(ctx) == b.spawn().score_block(ctx)
+        assert scores(a.spawn(), ctx) == scores(b.spawn(), ctx)
 
 
 def test_tie_break_smallest_id():
     model = train_kgram([[1, 5, 1, 3, 1, 4, 1, 3, 1, 4]], k=1)
     # after 1: counts {5:1, 3:2, 4:2} -> tie between 3 and 4 at count 2
-    model.score_block([1])
+    model.feed([1])
     assert next_argmax(model) == 3
 
 
 def test_score_block_length_and_validation():
+    # every argmax is 2: a proposal of 2s is accepted whole, plus the bonus,
+    # and an empty proposal is one pass of one token
     model = TableLM(vocab_size=5, order=1, table={}, fallback=2)
-    assert len(model.score_block([1, 2, 3, 4])) == 4
-    with pytest.raises(ValueError):
-        model.score_block([])
-    with pytest.raises(InvalidToken):
-        model.score_block([5])
-    with pytest.raises(InvalidToken):
-        model.score_block([-1])
+    assert len(model.score_block(1, [2, 2, 2], EOT)) == 4
+    assert model.score_block(1, [], EOT) == [2]
+    for pending, proposal in ((5, []), (-1, []), (1, [5]), (1, [2, -1])):
+        with pytest.raises(InvalidToken):
+            model.score_block(pending, proposal, EOT)
 
 
 @pytest.mark.parametrize(
@@ -133,20 +140,20 @@ def test_score_block_length_and_validation():
     ids=["kgram", "table"],
 )
 def test_rejected_block_changes_nothing(model):
-    model.score_block([1, 2])
-    model.score_block([3])
+    model.feed([1, 2])
+    model.score_block(3, [], EOT)
     before = (model.state, model.blocks_scored, model.tokens_scored)
     with pytest.raises(InvalidToken):
-        model.score_block([1, 99, 2])
+        model.score_block(1, [99, 2], EOT)
     assert (model.state, model.blocks_scored, model.tokens_scored) == before
-    # later scoring continues from the prefix before the rejected block
-    assert model.score_block([1, 2]) == [fresh_argmax(model, [1, 2, 3, 1]), fresh_argmax(model, [1, 2, 3, 1, 2])]
+    # later scoring continues from the prefix before the rejected pass
+    assert scores(model, [1, 2]) == [table_argmax(model, [1, 2, 3, 1]), table_argmax(model, [1, 2, 3, 1, 2])]
 
 
 def test_continuation_past_the_vocabulary_changes_nothing():
     # 1 -> 2 -> 9: the third pass of decode(1) would append 9
     model = TableLM(vocab_size=4, order=1, table={(1,): 2, (2,): 9}, fallback=1)
-    model.score_block([3])
+    model.score_block(3, [], EOT)
     tokens = model.decode(1)
     assert [next(tokens), next(tokens)] == [2, 9]  # the last argmax is not appended
     before = (model.state, model.blocks_scored, model.tokens_scored)
@@ -158,13 +165,13 @@ def test_continuation_past_the_vocabulary_changes_nothing():
 
 def test_counters():
     model = TableLM(vocab_size=5, order=1, table={}, fallback=2)
-    model.score_block([1, 2])
-    model.score_block([3])
+    model.score_block(1, [2], EOT)
+    model.score_block(3, [], EOT)
     assert model.blocks_scored == 2 and model.tokens_scored == 3
 
 
 def test_random_interleavings_match_fresh_model():
-    # prefix purity under random append/truncate interleavings
+    # prefix purity under random verification/truncate interleavings
     rng = np.random.default_rng(11)
     for case in range(100):
         model = random_table_lm(rng, 12) if case % 2 else random_kgram_lm(rng, 12)
@@ -173,9 +180,10 @@ def test_random_interleavings_match_fresh_model():
                 model.truncate(int(rng.integers(0, model.state_len + 1)))
             else:
                 block = [int(x) for x in rng.integers(0, 12, size=int(rng.integers(1, 6)))]
-                model.score_block(block)
+                model.score_block(block[0], block[1:], EOT)
         block = [int(x) for x in rng.integers(0, 12, size=int(rng.integers(1, 6)))]
-        assert model.score_block(block)[-1] == fresh_argmax(model, model.state)
+        model.feed(block[:-1])
+        assert model.score_block(block[-1], [], EOT)[-1] == table_argmax(model, model.state)
 
 
 def test_persistence_round_trip(tmp_path):
@@ -206,7 +214,7 @@ def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, or
     alone = train_kgram(corpus, order, vocab_size=6)
     for seq in corpus + probes:
         view.truncate(0)
-        assert view.score_block(seq) == alone.spawn().score_block(seq)
+        assert scores(view, seq) == scores(alone.spawn(), seq)
 
 
 def test_view_dumps_only_its_own_orders():
@@ -245,9 +253,10 @@ def test_kgram_argmax_matches_naive_scan(case, order, extra):
     models = [m.spawn() for m in (trained, view, loaded)]
     for seq in [s for s in corpus if s] + probes:
         expected = [naive_kgram_argmax(corpus, order, seq[:i + 1]) for i in range(len(seq))]
+        assert [table_argmax(trained, seq[:i + 1]) for i in range(len(seq))] == expected
         for model in models:
             model.truncate(0)
-            assert model.score_block(seq) == expected
+            assert scores(model, seq) == expected
 
 
 def built_orders(model):
@@ -282,11 +291,11 @@ def test_lazy_resolution_equals_eager_and_naive(case, order, data):
             model.truncate(0)
             model.feed(state[:-1])
             fresh.feed(state[:-1])
-            assert model.score_block(state[-1:]) == fresh.score_block(state[-1:])
+            assert model.score_block(state[-1], [], EOT) == fresh.score_block(state[-1], [], EOT)
             model.truncate(0)
             fresh.truncate(0)
             expected = [naive_kgram_argmax(corpus, model.order, state[:i + 1]) for i in range(len(state))]
-            assert model.score_block(state) == fresh.score_block(state) == expected
+            assert scores(model, state) == scores(fresh, state) == expected
     # the models that share tables agree on what is built, and every built
     # table is the eager one
     shared = [m for i, m in enumerate(models) if i != pickled]
@@ -327,35 +336,54 @@ def test_lazy_model_dumps_every_order(tmp_path):
 
 
 @st.composite
-def model_and_ops(draw):
-    """A TableLM or KgramLM over a small vocabulary and a random run of feeds,
-    scored blocks, greedy decodes (a pending token, which may lie outside
-    the vocabulary, and how many argmaxes to read; after a feed, this is a
-    draft proposal) and truncations (a truncation keeps a fraction of the
-    cache)."""
+def small_model(draw):
+    """A TableLM or KgramLM over a vocabulary of 2-6 ids."""
     vocab = draw(st.integers(2, 6))
     tokens = st.integers(0, vocab - 1)
     if draw(st.booleans()):
         order = draw(st.integers(1, 3))
         table = draw(st.dictionaries(st.tuples(*[tokens] * order), tokens, max_size=12))
-        model = TableLM(vocab, order, table, fallback=draw(tokens))
-    else:
-        corpus = draw(st.lists(st.lists(tokens, max_size=16), min_size=1, max_size=3))
-        model = train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab)
+        return TableLM(vocab, order, table, fallback=draw(tokens))
+    corpus = draw(st.lists(st.lists(tokens, max_size=16), min_size=1, max_size=3))
+    return train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab)
+
+
+@st.composite
+def model_and_ops(draw):
+    """A small model and a random run of feeds, verification passes (a
+    pending token, a proposal and an end-of-text id), greedy decodes (a
+    pending token, which may lie outside the vocabulary, and how many
+    argmaxes to read; after a feed, this is a draft proposal) and
+    truncations (a truncation keeps a fraction of the cache)."""
+    model = draw(small_model())
+    vocab = model.vocab_size
+    tokens = st.integers(0, vocab - 1)
     op = st.one_of(
         st.tuples(st.just("feed"), st.lists(tokens, max_size=8)),
-        st.tuples(st.just("score"), st.lists(tokens, min_size=1, max_size=8)),
+        st.tuples(st.just("score"), st.tuples(tokens, st.lists(tokens, max_size=7), tokens)),
         st.tuples(st.just("decode"), st.tuples(st.integers(-1, vocab), st.integers(1, 5))),
         st.tuples(st.just("truncate"), st.floats(0, 1)),
     )
     return model, draw(st.lists(op, min_size=1, max_size=12))
 
 
+def expected_pass(model, prefix, pending, proposal, eot):
+    """A verification pass after ``prefix``, read from the table oracle: the
+    argmaxes it returns and the tokens it leaves appended.
+
+    The argmax after each token of ``[pending, *proposal]``, up to the
+    first that differs from the next proposed token or is ``eot``."""
+    block = [pending, *proposal]
+    full = [table_argmax(model, prefix + block[:i + 1]) for i in range(len(block))]
+    k = next((i for i in range(len(proposal)) if full[i] != proposal[i] or full[i] == eot), len(proposal))
+    return full[:k + 1], block[:k + 1]
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(case=model_and_ops())
 def test_feed_then_score_equals_fresh_model(case):
-    # feeding only updates the cache: every scored block reads as on a
-    # fresh model given the same prefix, and only scoring calls are counted
+    # feeding only updates the cache: every verification pass reads as the
+    # table oracle does on the same prefix, and only scoring calls are counted
     model, ops = case
     model = model.spawn()
     prefix: list[int] = []
@@ -366,11 +394,12 @@ def test_feed_then_score_equals_fresh_model(case):
             prefix += arg
             fed += len(arg)
         elif kind == "score":
-            expected = fresh_scores(model, prefix, arg)
-            assert model.score_block(arg) == expected
-            prefix += arg
+            pending, proposal, eot = arg
+            expected, kept = expected_pass(model, prefix, pending, proposal, eot)
+            assert model.score_block(pending, proposal, eot) == expected
+            prefix += kept
             scored_blocks += 1
-            scored_tokens += len(arg)
+            scored_tokens += len(proposal) + 1
         elif kind == "decode":
             # each argmax read is one pass of one token; the last one read
             # stays pending, and a pending token outside the vocabulary
@@ -385,7 +414,7 @@ def test_feed_then_score_equals_fresh_model(case):
                 for _ in range(n):
                     prefix.append(tok)
                     tok = next(tokens)
-                    assert tok == fresh_argmax(model, prefix)
+                    assert tok == table_argmax(model, prefix)
                     scored_blocks += 1
                     scored_tokens += 1
                     assert (model.blocks_scored, model.tokens_scored) == (scored_blocks, scored_tokens)
@@ -397,46 +426,37 @@ def test_feed_then_score_equals_fresh_model(case):
     assert (model.blocks_scored, model.tokens_scored, model.tokens_fed) == (scored_blocks, scored_tokens, fed)
 
 
-def fresh_scores(model, prefix, block):
-    """What a fresh spawn scores for ``block`` after ``prefix``, scoring both."""
-    return model.spawn().score_block(prefix + block)[-len(block):]
+def bad_token(model, past_end):
+    """A negative id when ``past_end`` is None, else the id that far past the vocabulary."""
+    return -1 if past_end is None else model.vocab_size + past_end
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(case=model_and_ops(), past_end=st.sampled_from([None, 0, 90]), at=st.integers(0, 8))
 def test_feed_out_of_vocabulary_changes_nothing(case, past_end, at):
-    # ``past_end`` None is a negative id, else the id that far past the vocabulary
     model, ops = case
     model = model.spawn()
     for kind, arg in ops:
         if kind == "feed":
             model.feed(arg)
         elif kind == "score":
-            model.score_block(arg)
+            model.score_block(*arg)
     block = [1] * 8
-    block.insert(at, -1 if past_end is None else model.vocab_size + past_end)
-    before = (model.state, model.blocks_scored, model.tokens_scored, model.tokens_fed)
+    block.insert(at, bad_token(model, past_end))
+    before = counters(model)
     with pytest.raises(InvalidToken):
         model.feed(block)
-    assert (model.state, model.blocks_scored, model.tokens_scored, model.tokens_fed) == before
+    assert counters(model) == before
 
 
 @st.composite
 def verification_case(draw):
-    """A TableLM or KgramLM, a prefix, and a block ``[pending, *proposal]``
-    whose proposal is the model's greedy continuation with up to two
-    tokens replaced, so that it agrees for a while and then may not; the
-    end-of-text id is drawn from the vocabulary, so it also turns up
-    inside proposals."""
-    vocab = draw(st.integers(2, 6))
-    tokens = st.integers(0, vocab - 1)
-    if draw(st.booleans()):
-        order = draw(st.integers(1, 3))
-        table = draw(st.dictionaries(st.tuples(*[tokens] * order), tokens, max_size=12))
-        model = TableLM(vocab, order, table, fallback=draw(tokens))
-    else:
-        corpus = draw(st.lists(st.lists(tokens, max_size=16), min_size=1, max_size=3))
-        model = train_kgram(corpus, draw(st.integers(1, 4)), vocab_size=vocab)
+    """A small model, a prefix, a pending token and a proposal that is the
+    model's greedy continuation with up to two tokens replaced, so that it
+    agrees for a while and then may not; the end-of-text id is drawn from
+    the vocabulary, so it also turns up inside proposals."""
+    model = draw(small_model())
+    tokens = st.integers(0, model.vocab_size - 1)
     prefix = draw(st.lists(tokens, max_size=10))
     pending = draw(tokens)
     n = draw(st.integers(0, 6))
@@ -444,7 +464,7 @@ def verification_case(draw):
     if n:
         for i, tok in draw(st.dictionaries(st.integers(0, n - 1), tokens, max_size=2)).items():
             proposal[i] = tok
-    return model, prefix, [pending, *proposal], draw(tokens)
+    return model, prefix, pending, proposal, draw(tokens)
 
 
 def counters(model):
@@ -455,30 +475,51 @@ def counters(model):
 @given(case=verification_case())
 def test_verification_stops_at_the_first_disagreement(case):
     # the argmaxes of the full pass up to the first that disagrees with the
-    # next block token or is end-of-text; only that much stays appended,
-    # and the whole block is counted
-    model, prefix, block, eot = case
-    full = fresh_scores(model, prefix, block)
-    k = next((i for i in range(len(block) - 1) if full[i] != block[i + 1] or full[i] == eot), len(block) - 1)
+    # next proposed token or is end-of-text; only that much stays appended,
+    # and the whole pass is counted
+    model, prefix, pending, proposal, eot = case
+    expected, kept = expected_pass(model, prefix, pending, proposal, eot)
     model = model.spawn()
     model.feed(prefix)
-    assert model.score_block(block, eot=eot) == full[:k + 1]
-    assert model.state == tuple(prefix + block[:k + 1])
-    assert (model.blocks_scored, model.tokens_scored) == (1, len(block))
+    assert model.score_block(pending, proposal, eot) == expected
+    assert model.state == tuple(prefix + kept)
+    assert (model.blocks_scored, model.tokens_scored) == (1, len(proposal) + 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(case=verification_case(), past_end=st.sampled_from([None, 0, 90]), data=st.data())
 def test_verification_rejects_any_out_of_vocabulary_token(case, past_end, data):
-    # a bad token anywhere in the block, also after the first disagreement
+    # a bad token anywhere in the pass, also after the first disagreement
     # where nothing is scored, raises and changes nothing
-    model, prefix, block, eot = case
+    model, prefix, pending, proposal, eot = case
     model = model.spawn()
     model.feed(prefix)
-    model.score_block(block, eot=eot)
-    at = data.draw(st.integers(0, len(block) - 1), label="bad position")
-    block[at] = -1 if past_end is None else model.vocab_size + past_end
+    model.score_block(pending, proposal, eot)
+    block = [pending, *proposal]
+    block[data.draw(st.integers(0, len(proposal)), label="bad position")] = bad_token(model, past_end)
     before = counters(model)
     with pytest.raises(InvalidToken):
-        model.score_block(block, eot=eot)
+        model.score_block(block[0], block[1:], eot)
     assert counters(model) == before
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=verification_case(), past_end=st.sampled_from([None, 0, 90]), data=st.data())
+def test_verification_pass_equals_table_oracle(case, past_end, data):
+    # after a prefix read one pass at a time (so the counters start above
+    # zero), a pass with a bad token at any place, past the first
+    # disagreement too, changes nothing; the good pass then returns the
+    # oracle's argmaxes, leaves the prefix, pending and the accepted tokens
+    # cached, and adds one block of len(proposal) + 1 tokens
+    model, prefix, pending, proposal, eot = case
+    model = model.spawn()
+    scores(model, prefix)
+    state, blocks, tokens, fed = before = counters(model)
+    bad = [pending, *proposal]
+    bad[data.draw(st.integers(0, len(proposal)), label="bad position")] = bad_token(model, past_end)
+    with pytest.raises(InvalidToken):
+        model.score_block(bad[0], bad[1:], eot)
+    assert counters(model) == before
+    expected, kept = expected_pass(model, prefix, pending, proposal, eot)
+    assert model.score_block(pending, proposal, eot) == expected
+    assert counters(model) == (tuple(prefix + kept), blocks + 1, tokens + len(proposal) + 1, fed)
