@@ -46,9 +46,9 @@ while produced < budget:
     if outcome.source == "copy":
         accepted = " ".join(words(t) for t in added[:-1])
         print(f"step {step:2d} COPY  proposed {outcome.proposed:2d} accepted {outcome.accepted_k:2d}"
-              f"  [{accepted}]  bonus -> {words(outcome.bonus)!r}")
+              f"  [{accepted}]  bonus -> {words(session.context[-1])!r}")
     else:
-        print(f"step {step:2d} plain -> {words(outcome.bonus)!r}")
+        print(f"step {step:2d} plain -> {words(session.context[-1])!r}")
     if outcome.hit_eot:
         break
 

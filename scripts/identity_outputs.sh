@@ -16,6 +16,7 @@
 #                                       a copy+specdec run on redundant_2turn with
 #                                       --model-path set to the order-3 dump
 #   cost_index/<corpus>.<strategy>.json `run --cost-index 0.5`, every corpus and strategy
+#   demos/01_copy_walkthrough.txt       the stdout of demo 01, the attempt-by-attempt walkthrough
 #
 # Run it in two checkouts and compare with `diff -r OUT_A OUT_B`. The
 # code comes from the checkout holding this script (its `src/`), the
@@ -30,7 +31,7 @@ if [ $# -ne 1 ]; then
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
-mkdir -p "$1/run" "$1/sweep" "$1/train" "$1/cost_index"
+mkdir -p "$1/run" "$1/sweep" "$1/train" "$1/cost_index" "$1/demos"
 out=$(cd "$1" && pwd)
 cd "$root"
 
@@ -70,5 +71,11 @@ copyspec run --corpus "data/novel_2turn.jsonl" --strategy copy+specdec \
 copyspec train-lm --corpus "data/redundant_2turn.jsonl" --order 3 --out "$out/train/lm3.json"
 copyspec run --corpus "data/redundant_2turn.jsonl" --strategy copy+specdec \
     --model-path "$out/train/lm3.json" --out "$out/train/redundant.lm3.copy+specdec.json"
+
+if ! PYTHONPATH=src python3 demos/01_copy_walkthrough.py >"$out/demos/01_copy_walkthrough.txt" 2>"$log"; then
+    cat "$log" >&2
+    echo "failed: demos/01_copy_walkthrough.py" >&2
+    exit 1
+fi
 
 echo "wrote $(find "$out" -type f | wc -l) files to $out"

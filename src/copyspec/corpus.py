@@ -154,6 +154,8 @@ def _transcript_from_obj(obj: dict) -> Transcript:
     for name in ("id", "turns"):
         if name not in obj:
             raise MissingField(name)
+    _expect(obj["id"], str, "id")
+    _expect(obj.get("category", ""), str, "category")
     _expect(obj["turns"], list, "turns")
     turns = []
     for n, item in enumerate(obj["turns"], start=1):
@@ -163,7 +165,7 @@ def _transcript_from_obj(obj: dict) -> Transcript:
                 raise MissingField(name)
             _expect(item[name], str, f"turn {n} {name}")
         turns.append(Turn(role=item["role"], text=item["text"]))
-    return Transcript(id=str(obj["id"]), category=str(obj.get("category", "")), turns=tuple(turns))
+    return Transcript(id=obj["id"], category=obj.get("category", ""), turns=tuple(turns))
 
 
 def load_transcripts(path: str | Path) -> list[Transcript]:

@@ -36,8 +36,10 @@ only when the strategy copies, and a draft model only when it drafts.
 A copy proposal is sliced straight from the context, starting gamma
 tokens after the position the index returns. Each attempt appends its
 committed tokens to the context in place and extends the index (when
-copying) once over them; its record, an :class:`AttemptOutcome`, charges
-one index operation per committed token plus its lookup, if it made one.
+copying) once over them. Its record, an :class:`AttemptOutcome`, holds
+only what the cost model charges, with one index operation per
+committed token plus its lookup, if it made one; a plain step that does
+not end the text shares one of three prebuilt records.
 
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
@@ -104,21 +106,24 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class AttemptOutcome:
-    """Result of one verification attempt.
+    """What one attempt is charged: ``(source, proposed, accepted_k, hit_eot, index_ops)``.
 
-    Every attempt commits ``accepted_k`` proposed tokens plus the bonus
-    token to the context. When the bonus is end-of-text (``hit_eot``) the
-    emitted output ends just before it. An end-of-text token accepted from
-    inside a proposal is reclassified as the bonus, so ``accepted_k`` only
-    ever counts ordinary proposed tokens.
+    The attempt commits ``accepted_k`` proposed tokens plus the bonus,
+    which is ``context[-1]`` after it; when the bonus is end-of-text
+    (``hit_eot``) the output ends just before it. An end-of-text token
+    accepted from inside a proposal is reclassified as the bonus. Plain
+    steps share :data:`PLAIN_RECORDS`: never mutate a record.
     """
 
     source: str  # copy | draft | plain
     proposed: int
     accepted_k: int
-    bonus: int
     hit_eot: bool
     index_ops: int = 0
+
+
+# by index_ops: no index; an insert only (a context shorter than 2 * gamma); a lookup and an insert
+PLAIN_RECORDS = tuple(AttemptOutcome(SOURCE_PLAIN, 0, 0, False, ops) for ops in range(3))
 
 
 class Session:
@@ -249,15 +254,19 @@ class Session:
                 context.append(bonus)
                 if index is not None:
                     index.extend(context)
+                    index_ops += 1  # the insert
+                if bonus != EOT_ID and len(context) < end:
+                    yield PLAIN_RECORDS[index_ops]
+                    continue
                 source, n, k = SOURCE_PLAIN, 0, 0
             else:
                 n = len(proposal)
                 k = self.verify_block(proposal)
                 bonus = context[-1]
                 plain = None  # the pass moved the target's cache, which a generator must not see
-            if index is not None:
-                index_ops += k + 1  # one insert per committed token
-            yield AttemptOutcome(source, n, k, bonus, bonus == EOT_ID, index_ops)
+                if index is not None:
+                    index_ops += k + 1  # one insert per committed token
+            yield AttemptOutcome(source, n, k, bonus == EOT_ID, index_ops)
             if bonus == EOT_ID or len(context) >= end:
                 return
 

@@ -300,13 +300,35 @@ class KgramLM(LangModel):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KgramLM":
-        if obj.get("format") != "copyspec-kgram" or obj.get("version") != 1:
+        """The model of a :meth:`to_dict` dump; a field that is not as written raises ValueError naming it."""
+        if not isinstance(obj, dict) or obj.get("format") != "copyspec-kgram" or obj.get("version") != 1:
             raise ValueError("not a copyspec-kgram v1 dump")
-        counts = {
-            int(o): Counter({(*ctx, int(tok)): int(c) for ctx, hist in contexts for tok, c in hist})
-            for o, contexts in obj["counts"]
-        }
-        return cls(order=int(obj["order"]), counts=counts, vocab_size=int(obj["vocab_size"]))
+        for name in ("order", "vocab_size", "counts"):
+            if name not in obj:
+                raise ValueError(f"missing field {name!r}")
+        for name in ("order", "vocab_size"):
+            if not (_natural(obj[name]) and obj[name]):
+                raise ValueError(f"{name} must be a positive integer, got {json.dumps(obj[name])}")
+        vocab = obj.get("vocab", [])  # the symbols, which save() may add
+        if not (isinstance(vocab, list) and all(isinstance(v, str) for v in vocab)):
+            raise ValueError("vocab must be a list of strings")
+        vocab_size, entries, counts = obj["vocab_size"], obj["counts"], {}
+        if not isinstance(entries, list):
+            raise ValueError("counts must be a list")
+        for i, entry in enumerate(entries):
+            try:
+                o, contexts = entry
+                grams = Counter({(*ctx, tok): c for ctx, hist in contexts for tok, c in hist})
+            except (TypeError, ValueError):  # a part that is not a list, or of the wrong length
+                grams = None
+            if grams is None or not _natural(o) or not all(
+                len(gram) == o + 1 and all(_natural(t) and t < vocab_size for t in gram) and _natural(c) and c
+                for gram, c in grams.items()
+            ):
+                raise ValueError(f"counts[{i}] must be [order, [[context, [[token, count], ...]], ...]]"
+                                 " with order-long contexts, ids below vocab_size and positive counts")
+            counts[o] = grams
+        return cls(order=obj["order"], counts=counts, vocab_size=vocab_size)
 
     def save(self, path: str | Path, vocab_symbols: Sequence[str] | None = None) -> None:
         obj = self.to_dict()
@@ -316,8 +338,20 @@ class KgramLM(LangModel):
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["KgramLM", list[str] | None]:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(obj), obj.get("vocab")
+        """A :meth:`save` dump and its symbols; a bad one raises ValueError naming ``path`` and the field."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+        try:
+            return cls.from_dict(obj), obj.get("vocab")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _natural(value) -> bool:
+    """Whether a decoded JSON ``value`` is an integer >= 0 (``true`` is not)."""
+    return type(value) is int and value >= 0
 
 
 def train_kgram(corpus: Sequence[Sequence[int]], k: int, vocab_size: int | None = None) -> KgramLM:

@@ -472,6 +472,41 @@ def test_model_path_run_echoes_the_dumps_order(small_corpus_path, tmp_path):
     assert doc["records"] and all(rec["config_target_order"] == 3 for rec in doc["records"])
 
 
+def _drop(doc, name):
+    del doc[name]
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (None, "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (lambda doc: _drop(doc, "counts"), "missing field 'counts'"),
+        (
+            lambda doc: doc["counts"][1][1][0][1].append([2]),  # a token without its count
+            "counts[1] must be [order, [[context, [[token, count], ...]], ...]]",
+        ),
+        (lambda doc: doc.update(order="a"), 'order must be a positive integer, got "a"'),
+        (lambda doc: doc.update(counts={}), "counts must be a list"),
+        (lambda doc: doc.update(vocab=5), "vocab must be a list of strings"),
+    ],
+    ids=["not-json", "no-counts", "malformed-counts-entry", "order-string", "counts-object", "vocab-number"],
+)
+def test_model_path_names_the_dump_and_the_field(small_corpus_path, tmp_path, capsys, spoil, message):
+    dump = tmp_path / "lm.json"
+    assert run_cli("train-lm", "--corpus", small_corpus_path, "--order", "2", "--out", dump) == 0
+    if spoil is None:
+        dump.write_text("not a dump\n")
+    else:
+        doc = json.loads(dump.read_text())
+        spoil(doc)
+        dump.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "m.json"
+    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--model-path", dump, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dump}: {message}")
+    assert not out.exists()
+
+
 def test_skipgram_command(small_corpus_path, tmp_path):
     out = tmp_path / "cs.json"
     assert (

@@ -195,8 +195,12 @@ def test_load_transcripts_non_string_text_names_line(tmp_path, text):
         ({"id": "b", "turns": [5]}, "line 2: turn 1 must be an object, got a number"),
         ({"id": "b", "turns": [{"role": 1, "text": "q"}]}, "line 2: turn 1 role must be a string, got a number"),
         (["b"], "line 2: a transcript must be an object, got a list"),
+        ({"id": 5, "turns": []}, "line 2: id must be a string, got a number"),
+        ({"id": "b", "category": [1], "turns": []}, "line 2: category must be a string, got a list"),
+        ({"id": "b", "category": None, "turns": []}, "line 2: category must be a string, got null"),
     ],
-    ids=["turns-null", "turns-string", "turn-number", "role-number", "line-list"],
+    ids=["turns-null", "turns-string", "turn-number", "role-number", "line-list", "id-number", "category-list",
+         "category-null"],
 )
 def test_load_transcripts_wrong_json_type_names_line_and_field(tmp_path, obj, message):
     path = tmp_path / "types.jsonl"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from copyspec.corpus import EOT_ID, Transcript, Turn, Vocabulary, tokenize, turn_prefix_tokens
 from copyspec.engine import (
+    PLAIN_RECORDS,
     STRATEGIES,
     AttemptOutcome,
     BudgetExhausted,
@@ -98,7 +99,7 @@ def test_draft_proposal_conditions_on_own_tokens():
     session.extend_context([5, 1])
     calls.clear()
     outcome = session.step(10)
-    assert (outcome.source, outcome.proposed, outcome.accepted_k, outcome.bonus) == ("draft", 3, 3, 1)
+    assert (outcome.source, outcome.proposed, outcome.accepted_k, session.context[-1]) == ("draft", 3, 3, 1)
     assert draft.state == (5, 1, 2, 3)  # the last drafted token is not appended
     assert draft.blocks_scored == draft.tokens_scored == 3  # one pass counted per drafted token
     assert calls == ["decode"]
@@ -379,6 +380,47 @@ def test_run_transcript_keeps_no_attempt_records(redundant_setup):
         assert live_records() == before, strategy
 
 
+def fresh_plain_records():
+    return tuple(AttemptOutcome("plain", 0, 0, False, ops) for ops in range(3))
+
+
+def test_shared_plain_records_stay_as_built(redundant_setup):
+    # every plain step that does not end the text yields one of these records,
+    # so no strategy's run, nor the scoring of its log, may change them
+    corpus, vocab, target, draft = redundant_setup
+    assert PLAIN_RECORDS == fresh_plain_records()
+    for strategy in STRATEGIES:
+        for transcript in corpus[:3]:
+            results = run_transcript(
+                transcript, vocab, target.spawn(), draft.spawn(), EngineConfig(strategy=strategy)
+            )
+            assert all(r.metrics.tokens_out > 0 for r in results)
+            assert PLAIN_RECORDS == fresh_plain_records(), strategy
+
+
+def test_plain_steps_share_prebuilt_records(redundant_setup):
+    # a plain step allocates no record, except the run's last: an end-of-text
+    # or a spent budget builds its own
+    corpus, vocab, target, draft = redundant_setup
+    for strategy in ("baseline", "copy"):
+        shared = 0
+        for transcript in corpus[:3]:
+            session = Session(target.spawn(), draft.spawn(), EngineConfig(strategy=strategy))
+            for turn in transcript.user_turns():
+                session.extend_context(turn_prefix_tokens(turn.text, vocab))
+                _, log = session.run()
+                for o in log[:-1]:
+                    if o.source == "plain":
+                        assert any(o is record for record in PLAIN_RECORDS), (strategy, o)
+                        shared += 1
+                assert all(log[-1] is not record for record in PLAIN_RECORDS)
+        assert shared > 0, strategy
+    # a context shorter than 2 * gamma is indexed but not looked up
+    _, log = generate([1, 2], chain_table([1, 2, 3, 4, 5, 6, 7], vocab_size=8))
+    assert [o.index_ops for o in log] == [1, 1, 1, 1, 2, 2] and log[-1].hit_eot
+    assert all(o is PLAIN_RECORDS[o.index_ops] for o in log[:-1])
+
+
 def make_repeat_transcript():
     """Two turns; the second answer repeats the first verbatim."""
     vocab = Vocabulary()
@@ -469,7 +511,7 @@ def test_losslessness_randomized_sample():
 
 
 def test_attempt_outcome_invariants():
-    outcome = AttemptOutcome(source="copy", proposed=4, accepted_k=2, bonus=7, hit_eot=False)
+    outcome = AttemptOutcome(source="copy", proposed=4, accepted_k=2, hit_eot=False)
     assert 0 <= outcome.accepted_k <= outcome.proposed
 
 
@@ -572,6 +614,28 @@ def test_session_interleavings_match_greedy_and_accounting(case):
         assert session_state(session) == session_state(twin)
 
 
+_COSTS = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(sessions(), st.builds(CostModel, _COSTS, _COSTS, _COSTS, _COSTS))
+def test_score_log_of_shared_records_equals_fresh_records(case, cost):
+    target, draft, config, ops = case
+    session = Session(target.spawn(), draft.spawn(), config)
+    for op in ops:
+        if isinstance(op, list):
+            session.extend_context(op)
+            continue
+        session.config = replace(config, max_new_tokens=op)
+        _, log = session.run()
+        fresh = [AttemptOutcome(o.source, o.proposed, o.accepted_k, o.hit_eot, o.index_ops) for o in log]
+        assert all(o is not f for o, f in zip(log, fresh))
+        got, want = score_log(log, cost), score_log(fresh, cost)
+        assert got.sim_time == want.sim_time  # bit for bit
+        assert got == want
+    assert PLAIN_RECORDS == fresh_plain_records()
+
+
 def test_only_a_rejection_truncates(redundant_setup, monkeypatch):
     corpus, vocab, target, draft = redundant_setup
     truncated = []  # (model, keep) per truncate call in a step
@@ -649,7 +713,7 @@ def test_budget_final_plain_step_decodes(strategy, monkeypatch):
     session.extend_context([1, 2])
     drafted = draft.blocks_scored
     o = session.step(1)
-    assert (o.source, o.proposed, o.accepted_k, o.bonus) == ("plain", 0, 0, 3)
+    assert (o.source, o.proposed, o.accepted_k, session.context[-1]) == ("plain", 0, 0, 3)
     assert blocks == [] and draft.blocks_scored == drafted
     assert (target.blocks_scored, target.tokens_scored) == (1, 1)
     assert_cache_invariants(session)
