@@ -49,7 +49,7 @@ while produced < budget:
               f"  [{accepted}]  bonus -> {words(session.context[-1])!r}")
     else:
         print(f"step {step:2d} plain -> {words(session.context[-1])!r}")
-    if outcome.hit_eot:
+    if session.context[-1] == EOT_ID:
         break
 
 output = session.context[len(prompt_ids):]

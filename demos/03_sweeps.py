@@ -28,14 +28,14 @@ config = EngineConfig(strategy="copy")
 print("match-window sweep (gamma 2..8):")
 gamma_sweep = sweep(corpus, prompts, vocab, target, None, config, "gamma", list(range(2, 9)))
 print(f"{'gamma':<7}{'sim_tps':<10}{'%copied':<10}{'tau1':<8}{'attempts':<9}")
-for value, m, attempts in gamma_sweep.points:
-    print(f"{value:<7}{m.sim_tps:<10.3f}{m.pct_copied:<10.3f}{m.tau1:<8.2f}{attempts:<9}")
+for value, m in gamma_sweep.points:
+    print(f"{value:<7}{m.sim_tps:<10.3f}{m.pct_copied:<10.3f}{m.tau1:<8.2f}{m.copy_attempts:<9}")
 
 print("\nproposal-length sweep (chunk 5..100):")
 chunk_sweep = sweep(corpus, prompts, vocab, target, None, config, "chunk_len", [5, 10, 25, 50, 100])
 print(f"{'chunk':<7}{'sim_tps':<10}{'%copied':<10}{'tau1':<8}{'attempts':<9}")
-for value, m, attempts in chunk_sweep.points:
-    print(f"{value:<7}{m.sim_tps:<10.3f}{m.pct_copied:<10.3f}{m.tau1:<8.2f}{attempts:<9}")
+for value, m in chunk_sweep.points:
+    print(f"{value:<7}{m.sim_tps:<10.3f}{m.pct_copied:<10.3f}{m.tau1:<8.2f}{m.copy_attempts:<9}")
 
 for result, name in ((gamma_sweep, "gamma_sweep.csv"), (chunk_sweep, "chunk_sweep.csv")):
     out = HERE / name

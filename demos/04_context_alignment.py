@@ -12,7 +12,7 @@ match window before running generation sweeps.
 from pathlib import Path
 
 from copyspec import Vocabulary
-from copyspec.analysis import cs_profile, permutation_baseline, train_left_skipgram
+from copyspec.analysis import mean_cs, permutation_baseline, train_left_skipgram
 from copyspec.corpus import load_transcripts, training_sequences
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -27,6 +27,6 @@ for gamma in (1, 2, 3, 5, 8):
     emb = train_left_skipgram(
         seqs, gamma, dim=16, epochs=4, learning_rate=0.15, seed=1729, vocab_size=len(vocab)
     )
-    observed = cs_profile(seqs, emb, [gamma])[0][1]
-    mu, sd = permutation_baseline(seqs, emb, gamma, n_permutations=5, seed=1729)
+    observed = mean_cs(seqs, emb)
+    mu, sd = permutation_baseline(seqs, emb, n_permutations=5, seed=1729)
     print(f"{gamma:<7}{observed:<10.4f}{mu:<10.4f}{sd:<8.4f}")

@@ -8,6 +8,7 @@
 #   sweep/<strategy>.json, .records.jsonl
 #                                       gamma sweep 2..8 with --records-out on
 #                                       redundant_2turn, for copy and copy+specdec
+#   sweep/copy.csv                      the copy gamma sweep again, as `--format csv`
 #   train/lm.json                       `train-lm` dump of redundant_2turn
 #   train/novel.copy+specdec.json       a copy+specdec run on novel_2turn with
 #                                       --model-path set to that dump
@@ -16,6 +17,7 @@
 #                                       a copy+specdec run on redundant_2turn with
 #                                       --model-path set to the order-3 dump
 #   cost_index/<corpus>.<strategy>.json `run --cost-index 0.5`, every corpus and strategy
+#   skipgram/redundant_2turn.json       `skipgram --gammas 2,3 --epochs 1 --dim 8` on redundant_2turn
 #   demos/01_copy_walkthrough.txt       the stdout of demo 01, the attempt-by-attempt walkthrough
 #
 # Run it in two checkouts and compare with `diff -r OUT_A OUT_B`. The
@@ -31,7 +33,7 @@ if [ $# -ne 1 ]; then
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
-mkdir -p "$1/run" "$1/sweep" "$1/train" "$1/cost_index" "$1/demos"
+mkdir -p "$1/run" "$1/sweep" "$1/train" "$1/cost_index" "$1/skipgram" "$1/demos"
 out=$(cd "$1" && pwd)
 cd "$root"
 
@@ -64,6 +66,8 @@ for strategy in copy copy+specdec; do
         --axis gamma --values 2,3,4,5,6,7,8 \
         --out "$out/sweep/$strategy.json" --records-out "$out/sweep/$strategy.records.jsonl"
 done
+copyspec sweep --corpus "data/redundant_2turn.jsonl" --strategy copy \
+    --axis gamma --values 2,3,4,5,6,7,8 --format csv --out "$out/sweep/copy.csv"
 
 copyspec train-lm --corpus "data/redundant_2turn.jsonl" --out "$out/train/lm.json"
 copyspec run --corpus "data/novel_2turn.jsonl" --strategy copy+specdec \
@@ -71,6 +75,9 @@ copyspec run --corpus "data/novel_2turn.jsonl" --strategy copy+specdec \
 copyspec train-lm --corpus "data/redundant_2turn.jsonl" --order 3 --out "$out/train/lm3.json"
 copyspec run --corpus "data/redundant_2turn.jsonl" --strategy copy+specdec \
     --model-path "$out/train/lm3.json" --out "$out/train/redundant.lm3.copy+specdec.json"
+
+copyspec skipgram --corpus "data/redundant_2turn.jsonl" --gammas 2,3 --epochs 1 --dim 8 \
+    --out "$out/skipgram/redundant_2turn.json"
 
 if ! PYTHONPATH=src python3 demos/01_copy_walkthrough.py >"$out/demos/01_copy_walkthrough.txt" 2>"$log"; then
     cat "$log" >&2

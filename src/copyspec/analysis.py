@@ -126,26 +126,18 @@ def context_vector(embedding: EmbeddingModel, context: list[int]) -> np.ndarray:
     return embedding.vectors[context].mean(axis=0)
 
 
-def cs_profile(
-    corpus: list[list[int]],
-    embedding: EmbeddingModel,
-    gammas: list[int],
-) -> list[tuple[int, float]]:
+def mean_cs(corpus: list[list[int]], embedding: EmbeddingModel) -> float:
     """Mean cosine similarity between left-gamma contexts and next tokens.
 
-    Pairs are drawn from every position with at least gamma predecessors
-    in every sequence. The same embedding is evaluated at each gamma; for
-    the study where the embedding is retrained per gamma, see
-    :func:`cs_study`.
+    Gamma is the embedding's own. Pairs are drawn from every position
+    with at least gamma predecessors in every sequence; with none the
+    mean is 0.0.
     """
-    out = []
-    for gamma in gammas:
-        sims = [
-            cosine_similarity(context_vector(embedding, ctx), embedding.vectors[tok])
-            for ctx, tok in _context_pairs(corpus, gamma)
-        ]
-        out.append((gamma, float(np.mean(sims)) if sims else 0.0))
-    return out
+    sims = [
+        cosine_similarity(context_vector(embedding, ctx), embedding.vectors[tok])
+        for ctx, tok in _context_pairs(corpus, embedding.gamma)
+    ]
+    return float(np.mean(sims)) if sims else 0.0
 
 
 def cs_study(
@@ -157,26 +149,24 @@ def cs_study(
     seed: int = 0,
 ) -> list[tuple[int, float]]:
     """Retrain one embedding per gamma and evaluate it at that gamma."""
-    points = []
-    for gamma in gammas:
-        emb = train_left_skipgram(corpus, gamma, dim=dim, epochs=epochs, learning_rate=learning_rate, seed=seed)
-        points.append((gamma, cs_profile(corpus, emb, [gamma])[0][1]))
-    return points
+    return [
+        (gamma, mean_cs(corpus, train_left_skipgram(corpus, gamma, dim, epochs, learning_rate, seed)))
+        for gamma in gammas
+    ]
 
 
 def permutation_baseline(
     corpus: list[list[int]],
     embedding: EmbeddingModel,
-    gamma: int,
     n_permutations: int = 20,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Mean and standard deviation of mean-CS under shuffled next tokens.
 
     Destroys the context/next-token pairing while keeping both marginals,
-    giving the no-left-dependence reference level for :func:`cs_profile`.
+    giving the no-left-dependence reference level for :func:`mean_cs`.
     """
-    pairs = _context_pairs(corpus, gamma)
+    pairs = _context_pairs(corpus, embedding.gamma)
     ctx_vecs = np.stack([context_vector(embedding, ctx) for ctx, _ in pairs])
     toks = np.array([tok for _, tok in pairs])
     rng = np.random.default_rng(seed)

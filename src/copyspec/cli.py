@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
-from .corpus import Transcript, Vocabulary, file_fingerprint, ingest, load_transcripts, training_sequences
+from .corpus import Transcript, Vocabulary, file_fingerprint, ingest, load_transcripts, training_sequences, utf8_error
 from .engine import EngineConfig, run_corpus, sweep
 from .lm import KgramLM, train_kgram
 from .metrics import (
@@ -159,7 +158,8 @@ def _build_models(args, transcripts, config: EngineConfig):
     read; any other order is still built on its first backoff read. A
     loaded target keeps its dump's order, whatever ``--target-order``
     says, and may come from another corpus, so the draft is then trained
-    on this one.
+    on this one, over the target's vocabulary, whose ids may run past
+    this corpus's.
     """
     wants_draft = config.allows_draft
     t, d = args.target_order, args.draft_order
@@ -168,7 +168,7 @@ def _build_models(args, transcripts, config: EngineConfig):
         vocab = Vocabulary(list(symbols) if symbols else None)
         seqs, prompts = ingest(transcripts, vocab)
         target.vocab_size = max(target.vocab_size, len(vocab))
-        draft = train_kgram(seqs, d, vocab_size=len(vocab)) if wants_draft else None
+        draft = train_kgram(seqs, d, vocab_size=target.vocab_size) if wants_draft else None
         return vocab, prompts, target, draft
     vocab = Vocabulary()
     seqs, prompts = ingest(transcripts, vocab)
@@ -338,13 +338,15 @@ REPORT_COLUMNS = ("sim_tps", "pct_copied", "tau1", "tau2")
 
 def _is_run_file(doc) -> bool:
     """Whether ``doc`` holds what report reads of a `copyspec run` metrics file:
-    a strategy, and each turn's columns under its decimal turn number."""
+    a strategy, and at least one turn's columns under its turn number."""
     try:
-        return isinstance(doc["config"]["strategy"], str) and all(
-            turn.isdecimal() and all(name in vals for name in REPORT_COLUMNS)
-            for turn, vals in doc["aggregate"]["by_turn"].items()
+        by_turn = doc["aggregate"]["by_turn"]
+        return isinstance(doc["config"]["strategy"], str) and len(by_turn) > 0 and all(
+            turn.isdigit() and turn == str(int(turn)) != "0"  # "1", "2", ..., as run writes them
+            and isinstance(vals, dict) and all(name in vals for name in REPORT_COLUMNS)
+            for turn, vals in by_turn.items()
         )
-    except (KeyError, TypeError, AttributeError):  # a part missing, or not a dict
+    except (KeyError, TypeError, AttributeError, ValueError):  # a part missing, not a dict, or no int
         return False
 
 
@@ -353,19 +355,21 @@ def cmd_report(args) -> int:
     for path in args.paths:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except UnicodeDecodeError as exc:
+            raise RuntimeError(f"{path} is {utf8_error(exc)}") from None
+        except (ValueError, RecursionError) as exc:  # the latter: nested too deep
             raise RuntimeError(f"{path} is not JSON: {exc}") from None
         if not _is_run_file(doc):
             raise RuntimeError(f"{path} is not a metrics file produced by `copyspec run`")
         for turn, vals in doc["aggregate"]["by_turn"].items():
             for name in REPORT_COLUMNS:
                 v = vals[name]
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:  # bool, NaN, inf, too big
                     raise RuntimeError(f"{path}: turn {turn} {name} is {json.dumps(v)}, not a finite number")
         docs.append(doc)
 
-    fingerprints = {doc["config"].get("corpus_fingerprint") for doc in docs}
-    if len(fingerprints) > 1:
+    fingerprints = [doc["config"].get("corpus_fingerprint") for doc in docs]
+    if any(fingerprint != fingerprints[0] for fingerprint in fingerprints):
         print("warning: metric files were produced from different corpora", file=sys.stderr)
     # speedups divide simulated rates, so they mean nothing across cost models
     costs = [{k: v for k, v in doc["config"].items() if k.startswith("cost_")} for doc in docs]
@@ -385,7 +389,7 @@ def cmd_report(args) -> int:
     want_speedup = not args.no_speedup
     if want_speedup:
         if not baseline:
-            raise MissingBaseline("no baseline run among the inputs; pass one or use --no-speedup")
+            raise MissingBaseline(f"no baseline run among {', '.join(args.paths)}; pass one or use --no-speedup")
         for turn, vals in baseline.items():
             if vals["sim_tps"] <= 0:
                 raise RuntimeError(f"{sources['baseline', turn]}: turn {turn} sim_tps is {vals['sim_tps']}, not positive")

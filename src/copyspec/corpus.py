@@ -168,23 +168,30 @@ def _transcript_from_obj(obj: dict) -> Transcript:
     return Transcript(id=obj["id"], category=obj.get("category", ""), turns=tuple(turns))
 
 
+def utf8_error(exc: UnicodeDecodeError) -> str:
+    """Why input bytes are not text, in the input's terms: the first bad byte and its offset."""
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+
+
 def load_transcripts(path: str | Path) -> list[Transcript]:
     """Load one-JSON-object-per-line transcripts, preserving file order.
 
-    Any malformed line raises :class:`ParseError` naming the 1-based line;
-    the underlying cause (bad JSON, :class:`MissingField`,
+    Lines end at ``\\n`` and are decoded one by one. Any malformed line
+    raises :class:`ParseError` naming the 1-based line; the underlying
+    cause (not UTF-8, bad JSON or nested too deep, :class:`MissingField`,
     :class:`BadRoleSequence`, a value of the wrong JSON type) is
     chained. Blank lines are skipped.
     """
     out: list[Transcript] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-                out.append(_transcript_from_obj(obj))
-            except (json.JSONDecodeError, MissingField, BadRoleSequence, TypeError) as exc:
+                text = line.decode("utf-8")
+                if text.strip():
+                    out.append(_transcript_from_obj(json.loads(text)))
+            except UnicodeDecodeError as exc:
+                raise ParseError(lineno, utf8_error(exc)) from exc
+            except (ValueError, TypeError, RecursionError) as exc:  # each other cause is one of these
                 raise ParseError(lineno, str(exc)) from exc
     return out
 

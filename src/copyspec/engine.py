@@ -38,8 +38,9 @@ tokens after the position the index returns. Each attempt appends its
 committed tokens to the context in place and extends the index (when
 copying) once over them. Its record, an :class:`AttemptOutcome`, holds
 only what the cost model charges, with one index operation per
-committed token plus its lookup, if it made one; a plain step that does
-not end the text shares one of three prebuilt records.
+committed token plus its lookup, if it made one; every plain step shares
+one of three prebuilt records. An attempt that ends the text leaves
+end-of-text as the context's last token.
 
 The engine is lossless by construction: for every strategy the emitted
 sequence equals plain greedy decoding of the target model.
@@ -106,24 +107,23 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class AttemptOutcome:
-    """What one attempt is charged: ``(source, proposed, accepted_k, hit_eot, index_ops)``.
+    """What one attempt is charged: ``(source, proposed, accepted_k, index_ops)``.
 
     The attempt commits ``accepted_k`` proposed tokens plus the bonus,
-    which is ``context[-1]`` after it; when the bonus is end-of-text
-    (``hit_eot``) the output ends just before it. An end-of-text token
-    accepted from inside a proposal is reclassified as the bonus. Plain
-    steps share :data:`PLAIN_RECORDS`: never mutate a record.
+    which is ``context[-1]`` after it; an end-of-text bonus ends the text,
+    and the output ends just before it. An end-of-text token accepted from
+    inside a proposal is reclassified as the bonus. Every plain step
+    shares one of :data:`PLAIN_RECORDS`: never mutate a record.
     """
 
     source: str  # copy | draft | plain
     proposed: int
     accepted_k: int
-    hit_eot: bool
     index_ops: int = 0
 
 
 # by index_ops: no index; an insert only (a context shorter than 2 * gamma); a lookup and an insert
-PLAIN_RECORDS = tuple(AttemptOutcome(SOURCE_PLAIN, 0, 0, False, ops) for ops in range(3))
+PLAIN_RECORDS = tuple(AttemptOutcome(SOURCE_PLAIN, 0, 0, ops) for ops in range(3))
 
 
 class Session:
@@ -213,9 +213,8 @@ class Session:
             raise ValueError("run needs a non-empty context to score after")
         start = len(context)
         log = list(self._attempts(start + self.config.max_new_tokens))
-        if log[-1].hit_eot:
-            return context[start:-1], log
-        return context[start:], log
+        stop = -1 if context[-1] == EOT_ID else None  # the sentinel stays in the context only
+        return context[start:stop], log
 
     def _attempts(self, end: int) -> Iterator[AttemptOutcome]:
         """The attempt loop: attempts until end-of-text or a context of ``end`` tokens.
@@ -255,18 +254,14 @@ class Session:
                 if index is not None:
                     index.extend(context)
                     index_ops += 1  # the insert
-                if bonus != EOT_ID and len(context) < end:
-                    yield PLAIN_RECORDS[index_ops]
-                    continue
-                source, n, k = SOURCE_PLAIN, 0, 0
+                yield PLAIN_RECORDS[index_ops]
             else:
-                n = len(proposal)
                 k = self.verify_block(proposal)
                 bonus = context[-1]
                 plain = None  # the pass moved the target's cache, which a generator must not see
                 if index is not None:
                     index_ops += k + 1  # one insert per committed token
-            yield AttemptOutcome(source, n, k, bonus == EOT_ID, index_ops)
+                yield AttemptOutcome(source, len(proposal), k, index_ops)
             if bonus == EOT_ID or len(context) >= end:
                 return
 
@@ -383,24 +378,25 @@ def run_corpus(
 @dataclass(frozen=True)
 class SweepResult:
     axis: str  # "gamma" | "chunk_len"
-    points: list[tuple[int, RunMetrics, int]]  # (value, pooled metrics, copy attempts)
+    points: list[tuple[int, RunMetrics]]  # (value, pooled metrics)
     runs: list = field(default_factory=list, repr=False)  # run_corpus output, one run per value
 
     def to_dict(self) -> dict:
         return {
             "axis": self.axis,
             "points": [
-                {"value": v, "metrics": m.to_dict(), "copy_attempts": a} for v, m, a in self.points
+                {"value": v, "metrics": m.to_dict(), "copy_attempts": m.copy_attempts}
+                for v, m in self.points
             ],
         }
 
     def long_rows(self) -> list[tuple[int, str, float]]:
         """Plot-ready (value, metric, number) rows."""
         rows: list[tuple[int, str, float]] = []
-        for v, m, attempts in self.points:
+        for v, m in self.points:
             for name, num in m.to_dict().items():
                 rows.append((v, name, float(num)))
-            rows.append((v, "copy_attempts_total", float(attempts)))
+            rows.append((v, "copy_attempts_total", float(m.copy_attempts)))
         return rows
 
 
@@ -435,6 +431,5 @@ def sweep(
     runs = run_corpus(corpus, prompts, vocab, target, draft, configs, cost, jobs)
     points = []
     for i, value in enumerate(values):
-        pooled = aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])
-        points.append((value, pooled, pooled.copy_attempts))
+        points.append((value, aggregate([metrics for _, _, per_config in runs for _, metrics in per_config[i]])))
     return SweepResult(axis=axis, points=points, runs=runs)

@@ -32,6 +32,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .corpus import utf8_error
 from .metrics import atomic_write_text
 
 Tables = list[dict[tuple[int, ...], int] | None]
@@ -278,16 +279,14 @@ class KgramLM(LangModel):
     def to_dict(self) -> dict:
         """Versioned, order-stable dump of the counts at orders 0..order.
 
-        Orders not counted yet are counted first, so a model with only
-        some orders built dumps what one with every order built would. A
-        view at a lower order of shared counts dumps what training at that
-        order alone would.
+        Orders not counted yet are counted first (an untrained model's
+        are empty), so a model with only some orders built dumps what one
+        with every order built would. A view at a lower order of shared
+        counts dumps what training at that order alone would.
         """
-        for o in range(self.order + 1):
-            self._counted(o)
         orders = []
-        for o in sorted(o for o in self.counts if o <= self.order):
-            grams = groupby(sorted(self.counts[o].items()), key=lambda kv: kv[0][:-1])
+        for o in range(self.order + 1):
+            grams = groupby(sorted(self._counted(o).items()), key=lambda kv: kv[0][:-1])
             contexts = [[list(ctx), [[gram[-1], c] for gram, c in hist]] for ctx, hist in grams]
             orders.append([o, contexts])
         return {
@@ -328,6 +327,8 @@ class KgramLM(LangModel):
                 raise ValueError(f"counts[{i}] must be [order, [[context, [[token, count], ...]], ...]]"
                                  " with order-long contexts, ids below vocab_size and positive counts")
             counts[o] = grams
+        if len(entries) != obj["order"] + 1 or sorted(counts) != list(range(len(entries))):
+            raise ValueError("counts must list each order from 0 to order once")
         return cls(order=obj["order"], counts=counts, vocab_size=vocab_size)
 
     def save(self, path: str | Path, vocab_symbols: Sequence[str] | None = None) -> None:
@@ -341,7 +342,9 @@ class KgramLM(LangModel):
         """A :meth:`save` dump and its symbols; a bad one raises ValueError naming ``path`` and the field."""
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {utf8_error(exc)}") from None
+        except (ValueError, RecursionError) as exc:  # the latter: nested too deep
             raise ValueError(f"{path}: not JSON: {exc}") from None
         try:
             return cls.from_dict(obj), obj.get("vocab")

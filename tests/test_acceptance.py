@@ -16,12 +16,12 @@ import pytest
 
 from copyspec.analysis import (
     cosine_similarity,
-    cs_profile,
+    mean_cs,
     permutation_baseline,
     train_left_skipgram,
 )
 from copyspec.corpus import EOT_ID, Vocabulary, ingest, load_transcripts, training_sequences
-from copyspec.engine import EngineConfig, generate, run_transcript, sweep
+from copyspec.engine import EngineConfig, Session, run_transcript, sweep
 from copyspec.lm import train_kgram
 from copyspec.match_index import MatchIndex
 from copyspec.metrics import CostModel, aggregate, speedup
@@ -66,7 +66,9 @@ def randomized_runs():
         reference = greedy_reference(target, prompt, budget)
         for strategy in STRATEGIES:
             config = EngineConfig(strategy=strategy, **config_kwargs)
-            output, log = generate(prompt, target.spawn(), draft.spawn(), config)
+            session = Session(target.spawn(), draft.spawn(), config)  # as generate() does, keeping the context
+            session.extend_context(prompt)
+            output, log = session.run()
             runs.append(
                 {
                     "strategy": strategy,
@@ -74,6 +76,7 @@ def randomized_runs():
                     "output": output,
                     "reference": reference,
                     "log": log,
+                    "context": session.context,
                 }
             )
     return runs, time.monotonic() - t0
@@ -138,7 +141,7 @@ def test_criterion_04_progress_and_accounting(randomized_runs):
     partial_rejects = 0
     for run in runs:
         committed = sum(o.accepted_k + 1 for o in run["log"])
-        ended_by_eot = bool(run["log"]) and run["log"][-1].hit_eot
+        ended_by_eot = bool(run["log"]) and run["context"][-1] == EOT_ID
         assert committed == len(run["output"]) + (1 if ended_by_eot else 0)
         assert committed <= run["config"].max_new_tokens
         for o in run["log"]:
@@ -213,8 +216,8 @@ def test_criterion_06_gamma_sweep_shape(redundant_setup):
     result = sweep(
         corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "gamma", list(range(2, 9))
     )
-    attempts = [a for _, _, a in result.points]
-    taus = [m.tau1 for _, m, _ in result.points]
+    attempts = [m.copy_attempts for _, m in result.points]
+    taus = [m.tau1 for _, m in result.points]
     attempt_violations = sum(1 for a, b in zip(attempts, attempts[1:]) if b > a)
     tau_violations = sum(1 for a, b in zip(taus, taus[1:]) if b < a)
     assert attempt_violations == 0, attempts
@@ -233,7 +236,7 @@ def test_criterion_07_chunk_length_interior_optimum(redundant_setup):
     result = sweep(
         corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50, 100]
     )
-    tps = {v: m.sim_tps for v, m, _ in result.points}
+    tps = {v: m.sim_tps for v, m in result.points}
     elapsed = time.monotonic() - t0
     assert max(tps[10], tps[50]) > tps[100], tps
     assert elapsed < 120.0
@@ -273,8 +276,8 @@ def _cs_stats(seed=31):
     rng = np.random.default_rng(seed)
     corpus = _planted_cluster_corpus(rng)
     emb = train_left_skipgram(corpus, gamma=3, dim=12, epochs=8, learning_rate=0.2, seed=seed)
-    observed = cs_profile(corpus, emb, [3])[0][1]
-    mu, sd = permutation_baseline(corpus, emb, gamma=3, n_permutations=20, seed=seed)
+    observed = mean_cs(corpus, emb)
+    mu, sd = permutation_baseline(corpus, emb, n_permutations=20, seed=seed)
     return observed, mu, sd
 
 

@@ -7,8 +7,8 @@ from copyspec.analysis import (
     ZeroVector,
     context_vector,
     cosine_similarity,
-    cs_profile,
     cs_study,
+    mean_cs,
     permutation_baseline,
     train_left_skipgram,
 )
@@ -36,8 +36,8 @@ def test_sweep_single_point_equals_direct_run(small_setup):
     values = [2, 3, 5]
     for strategy, draft_model in (("copy", None), ("copy_plus_specdec", draft)):
         result = sweep(corpus, prompts, vocab, target, draft_model, EngineConfig(strategy=strategy), "gamma", values)
-        assert [v for v, _, _ in result.points] == values
-        for value, pooled, attempts in result.points:
+        assert [v for v, _ in result.points] == values
+        for value, pooled in result.points:
             config = EngineConfig(gamma=value, strategy=strategy)
             per_turn = []
             for t in corpus:
@@ -47,7 +47,7 @@ def test_sweep_single_point_equals_direct_run(small_setup):
                 )
             direct = aggregate(per_turn)
             assert pooled == direct
-            assert attempts == direct.copy_attempts
+            assert pooled.copy_attempts == direct.copy_attempts
 
 
 def test_sweep_validation(small_setup):
@@ -64,7 +64,7 @@ def test_sweep_validation(small_setup):
 def test_gamma_sweep_attempts_non_increasing(small_setup):
     corpus, prompts, vocab, target = small_setup
     result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "gamma", [2, 4, 6, 8])
-    attempts = [a for _, _, a in result.points]
+    attempts = [m.copy_attempts for _, m in result.points]
     assert all(b <= a for a, b in zip(attempts, attempts[1:]))
 
 
@@ -72,7 +72,7 @@ def test_chunk_sweep_interior_peak_on_shipped_corpus(redundant_setup):
     corpus, vocab, target, _ = redundant_setup
     prompts = ingest(corpus, vocab)[1]  # the vocabulary already holds every symbol
     result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50])
-    tps = {v: m.sim_tps for v, m, _ in result.points}
+    tps = {v: m.sim_tps for v, m in result.points}
     assert tps[10] > tps[5] and tps[10] > tps[50]
 
 
@@ -84,7 +84,7 @@ def test_chunk_sweep_interior_peak_on_short_runs():
     seqs, prompts = ingest(corpus, vocab)
     target = train_kgram(seqs, 4, vocab_size=len(vocab))
     result = sweep(corpus, prompts, vocab, target, None, EngineConfig(strategy="copy"), "chunk_len", [5, 10, 50])
-    tps = {v: m.sim_tps for v, m, _ in result.points}
+    tps = {v: m.sim_tps for v, m in result.points}
     assert tps[10] > tps[5] and tps[10] > tps[50]
 
 
@@ -170,17 +170,15 @@ def test_cosine_symmetric_and_scale_invariant(vals, lam, mu):
     assert cosine_similarity(lam * a, mu * b) == pytest.approx(cosine_similarity(a, b), abs=1e-7)
 
 
-def test_cs_profile_single_pair():
+def test_mean_cs_single_pair():
     emb = train_left_skipgram([[1, 1, 2]], gamma=2, dim=4, epochs=2, seed=0, vocab_size=3)
-    points = cs_profile([[1, 1, 2]], emb, [2])
     want = cosine_similarity(context_vector(emb, [1, 1]), emb.vectors[2])
-    assert points == [(2, pytest.approx(want))]
+    assert mean_cs([[1, 1, 2]], emb) == pytest.approx(want)
 
 
-def test_cs_profile_repeated_symbol_is_one():
+def test_mean_cs_repeated_symbol_is_one():
     emb = train_left_skipgram([[3, 3, 3, 3, 3]], gamma=2, dim=4, epochs=2, seed=0, vocab_size=4)
-    points = cs_profile([[3, 3, 3, 3, 3]], emb, [2])
-    assert points[0][1] == pytest.approx(1.0)
+    assert mean_cs([[3, 3, 3, 3, 3]], emb) == pytest.approx(1.0)
 
 
 def planted_corpus(rng, clusters=4, members=6, n_seq=12, runs=14):
@@ -201,8 +199,8 @@ def test_planted_left_dependence_beats_permutation():
     rng = np.random.default_rng(17)
     corpus = planted_corpus(rng)
     emb = train_left_skipgram(corpus, gamma=3, dim=12, epochs=8, learning_rate=0.2, seed=17)
-    observed = cs_profile(corpus, emb, [3])[0][1]
-    mu, sd = permutation_baseline(corpus, emb, gamma=3, n_permutations=10, seed=17)
+    observed = mean_cs(corpus, emb)
+    mu, sd = permutation_baseline(corpus, emb, n_permutations=10, seed=17)
     assert observed > mu + 3 * sd
 
 

@@ -336,7 +336,9 @@ def test_report_missing_baseline_errors(small_corpus_path, tmp_path, capsys):
     run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", copy)
     capsys.readouterr()
     assert run_cli("report", copy) == 1
-    assert "baseline" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "baseline" in err
+    assert err == f"error: no baseline run among {copy}; pass one or use --no-speedup\n"
     assert run_cli("report", copy, "--no-speedup") == 0
 
 
@@ -381,10 +383,16 @@ def test_report_rejects_two_files_for_one_strategy_and_turn(small_corpus_path, t
     assert captured.out == ""
 
 
+def rekey(key):
+    """A damage that moves a run file's turn 1 under ``key``."""
+    return lambda doc: doc["aggregate"]["by_turn"].update({key: doc["aggregate"]["by_turn"].pop("1")})
+
+
 def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, capsys):
     # report reads each run file's strategy and pooled `aggregate.by_turn`;
-    # a sweep file, or a run file stripped of either or with a turn that is
-    # not a number, is not a run's metrics file
+    # a sweep file, or a run file stripped of either, with no turn, or with
+    # a turn other than "1", "2", ... or columns that are no object, is not
+    # a run's metrics file
     run_file, sweep_file = tmp_path / "run.json", tmp_path / "sweep.json"
     run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", run_file)
     run_cli("sweep", "--corpus", small_corpus_path, "--axis", "gamma", "--values", "2,3", "--out", sweep_file)
@@ -395,6 +403,12 @@ def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, cap
         ("no-by-turn", lambda doc: doc["aggregate"].pop("by_turn")),
         ("turn-not-a-number", lambda doc: doc["aggregate"]["by_turn"].update(one={})),
         ("no-sim-tps", lambda doc: doc["aggregate"]["by_turn"]["1"].pop("sim_tps")),
+        ("no-turns", lambda doc: doc["aggregate"]["by_turn"].clear()),
+        ("turn-zero", rekey("0")),
+        ("leading-zero", rekey("01")),
+        ("arabic-indic-one", rekey("\u0661")),
+        ("5000-digits", rekey("1" * 5000)),
+        ("columns-a-list", lambda doc: doc["aggregate"]["by_turn"].update({"1": ["sim_tps", "pct_copied", "tau1", "tau2"]})),
     ):
         doc = json.loads(run_file.read_text())
         damage(doc)
@@ -408,8 +422,11 @@ def test_report_rejects_files_without_aggregate(small_corpus_path, tmp_path, cap
 
 @pytest.mark.parametrize(
     "field, value, shown",
-    [("tau1", "x", '"x"'), ("sim_tps", None, "null"), ("pct_copied", True, "true"), ("tau2", float("nan"), "NaN")],
-    ids=["string", "null", "bool", "nan"],
+    [
+        ("tau1", "x", '"x"'), ("sim_tps", None, "null"), ("pct_copied", True, "true"), ("tau2", float("nan"), "NaN"),
+        ("tau1", 10**400, str(10**400)),
+    ],
+    ids=["string", "null", "bool", "nan", "beyond-a-float"],
 )
 def test_report_names_a_column_that_is_not_a_finite_number(small_corpus_path, tmp_path, capsys, field, value, shown):
     base, bad = tmp_path / "base.json", tmp_path / "bad.json"
@@ -443,6 +460,35 @@ def test_report_names_a_file_that_is_not_json(small_corpus_path, tmp_path, capsy
     assert f"error: {table} is not JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [(b"\xff{}", "is not UTF-8: byte 0xff at offset 0"), (b"[" * 100_000, "is not JSON: maximum recursion depth")],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_report_names_a_file_that_is_no_json_text(small_corpus_path, tmp_path, capsys, bad, message):
+    base, path = tmp_path / "base.json", tmp_path / "bad.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    path.write_bytes(bad)
+    capsys.readouterr()
+    assert run_cli("report", base, path) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} {message}")
+
+
+@pytest.mark.parametrize("fingerprint", [["a"], {"a": 1}], ids=["list", "object"])
+def test_report_compares_fingerprints_of_any_json_type(small_corpus_path, tmp_path, capsys, fingerprint):
+    base, copy = tmp_path / "base.json", tmp_path / "copy.json"
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "baseline", "--out", base)
+    run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", copy)
+    doc = json.loads(copy.read_text())
+    doc["config"]["corpus_fingerprint"] = fingerprint
+    copy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("report", base, copy) == 0
+    captured = capsys.readouterr()
+    assert "warning: metric files were produced from different corpora" in captured.err
+    assert "copy" in captured.out
+
+
 def test_report_markdown_output(small_corpus_path, tmp_path):
     base = tmp_path / "base.json"
     md = tmp_path / "table.md"
@@ -460,6 +506,23 @@ def test_train_lm_then_model_path_run(small_corpus_path, tmp_path):
     run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--model-path", dump, "--out", loaded)
     d, l = json.loads(direct.read_text()), json.loads(loaded.read_text())
     assert d["records"] == l["records"]
+
+
+def test_model_path_ids_beyond_the_corpus_vocabulary_reach_the_draft(small_corpus_path, tmp_path):
+    # a dump may count ids past its symbols (or hold none): its target then
+    # emits ids this corpus never minted, which the draft reads next
+    dump, out = tmp_path / "lm.json", tmp_path / "m.json"
+    assert run_cli("train-lm", "--corpus", small_corpus_path, "--out", dump) == 0
+    doc = json.loads(dump.read_text())
+    unnamed = doc["vocab_size"]
+    doc["vocab_size"] += 1
+    for _, contexts in doc["counts"]:
+        for _, hist in contexts:
+            hist.append([unnamed, 10**6])  # the argmax of every context
+    dump.write_text(json.dumps(doc))
+    argv = ["--corpus", small_corpus_path, "--model-path", dump, "--max-new-tokens", "8", "--out", out]
+    assert run_cli("run", "--strategy", "copy+specdec", *argv) == 0
+    assert json.loads(out.read_text())["aggregate"]["overall"]["tokens_out"] > 0
 
 
 def test_model_path_run_echoes_the_dumps_order(small_corpus_path, tmp_path):
@@ -488,14 +551,24 @@ def _drop(doc, name):
         (lambda doc: doc.update(order="a"), 'order must be a positive integer, got "a"'),
         (lambda doc: doc.update(counts={}), "counts must be a list"),
         (lambda doc: doc.update(vocab=5), "vocab must be a list of strings"),
+        (lambda doc: doc.update(order=10**12), "counts must list each order from 0 to order once"),
+        (lambda doc: doc["counts"].pop(1), "counts must list each order from 0 to order once"),
+        (lambda doc: doc["counts"].append(doc["counts"][2]), "counts must list each order from 0 to order once"),
+        ("bytes", "not UTF-8: byte 0xff at offset 0"),
+        ("nested", "not JSON: maximum recursion depth exceeded"),
     ],
-    ids=["not-json", "no-counts", "malformed-counts-entry", "order-string", "counts-object", "vocab-number"],
+    ids=["not-json", "no-counts", "malformed-counts-entry", "order-string", "counts-object", "vocab-number",
+         "order-beyond-counts", "order-missing", "order-twice", "not-utf8", "nested-too-deep"],
 )
 def test_model_path_names_the_dump_and_the_field(small_corpus_path, tmp_path, capsys, spoil, message):
     dump = tmp_path / "lm.json"
     assert run_cli("train-lm", "--corpus", small_corpus_path, "--order", "2", "--out", dump) == 0
     if spoil is None:
         dump.write_text("not a dump\n")
+    elif spoil == "bytes":
+        dump.write_bytes(b"\xff" + dump.read_bytes())
+    elif spoil == "nested":
+        dump.write_bytes(b"[" * 100_000)
     else:
         doc = json.loads(dump.read_text())
         spoil(doc)

@@ -211,6 +211,23 @@ def test_load_transcripts_wrong_json_type_names_line_and_field(tmp_path, obj, me
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b'{"id": "\xffa"}', "line 3: not UTF-8: byte 0xff at offset 8"),
+        (b"[" * 100_000 + b"]" * 100_000, "line 3: maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_load_transcripts_names_a_line_that_is_no_json_text(tmp_path, bad, message):
+    path = tmp_path / "bytes.jsonl"
+    good = json.dumps({"id": "a", "turns": [{"role": "user", "text": "caf\u00e9"}]}, ensure_ascii=False).encode()
+    path.write_bytes(good + b"\n" + good + b"\n" + bad + b"\n")
+    with pytest.raises(ParseError) as err:
+        load_transcripts(path)
+    assert str(err.value).startswith(message)
+
+
 def test_load_transcripts_bad_roles_named_line(tmp_path):
     path = tmp_path / "roles.jsonl"
     path.write_text(json.dumps({"id": "a", "turns": [{"role": "assistant", "text": "q"}]}) + "\n")

@@ -186,6 +186,15 @@ def test_random_interleavings_match_fresh_model():
         assert model.score_block(block[-1], [], EOT)[-1] == table_argmax(model, model.state)
 
 
+def test_untrained_model_dumps_every_order(tmp_path):
+    # a dump lists orders 0..order, each once, which loading requires
+    model = KgramLM(2, {}, 4)
+    assert model.to_dict()["counts"] == [[0, []], [1, []], [2, []]]
+    model.save(tmp_path / "model.json")
+    loaded, symbols = KgramLM.load(tmp_path / "model.json")
+    assert (loaded.order, loaded.counts, symbols) == (2, {0: {}, 1: {}, 2: {}}, None)
+
+
 def test_persistence_round_trip(tmp_path):
     model = train_kgram([[1, 2, 3, 1, 2, 0]], k=2, vocab_size=6)
     path = tmp_path / "model.json"

@@ -23,15 +23,15 @@ from oracles import random_table_lm, reaggregate
 
 
 def plain(index_ops=0):
-    return AttemptOutcome("plain", 0, 0, False, index_ops)
+    return AttemptOutcome("plain", 0, 0, index_ops)
 
 
 def copy_attempt(proposed, k, index_ops=0):
-    return AttemptOutcome("copy", proposed, k, False, index_ops)
+    return AttemptOutcome("copy", proposed, k, index_ops)
 
 
 def draft_attempt(proposed, k):
-    return AttemptOutcome("draft", proposed, k, False)
+    return AttemptOutcome("draft", proposed, k)
 
 
 def test_baseline_cost_is_definitional():
@@ -159,7 +159,7 @@ def attempt_logs(draw):
         # the engine's plain attempts propose nothing, but a record may say otherwise
         proposed = draw(st.integers(0 if source == "plain" else 1, 12))
         k = draw(st.integers(0, proposed))
-        log.append(AttemptOutcome(source, proposed, k, False, draw(st.integers(0, 15))))
+        log.append(AttemptOutcome(source, proposed, k, draw(st.integers(0, 15))))
     return log
 
 
