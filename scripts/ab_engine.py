@@ -15,8 +15,10 @@ parent's; a mismatch stops the script with exit code 1.
 
 Prints one line per corpus and strategy: the min and median time of each
 side in milliseconds, and the child's change of each. Times are
-``perf_counter`` wall time after a ``gc.collect()``; on a shared host
-read them as leads, and make speed claims with ``scripts/bench_pairs.sh``.
+``perf_counter`` wall time after a ``gc.collect()``, with the cyclic
+collector paused during the call and restored after it, as ``copyspec
+run`` runs a command; on a shared host read them as leads, and make
+speed claims with ``scripts/bench_pairs.sh``.
 """
 
 from __future__ import annotations
@@ -72,9 +74,15 @@ def timed_run(mods: dict, built, strategy: str):
     transcripts, prompts, vocab, target, draft = built
     config = engine.EngineConfig(strategy=strategy)
     gc.collect()
-    t0 = perf_counter()
-    runs = engine.run_corpus(transcripts, prompts, vocab, target, draft, [config])
-    seconds = perf_counter() - t0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = perf_counter()
+        runs = engine.run_corpus(transcripts, prompts, vocab, target, draft, [config])
+        seconds = perf_counter() - t0
+    finally:
+        if collecting:
+            gc.enable()
     metrics = [(tid, [(turn, m.to_dict()) for turn, m in turns]) for tid, _, (turns,) in runs]
     return seconds, metrics
 

@@ -6,12 +6,15 @@ wall-clock fields or the corpus path, records are sorted by transcript
 id regardless of worker scheduling, and files are written atomically.
 Wall-clock duration is logged to stderr only. Only ``skipgram`` imports
 the numpy-based :mod:`copyspec.analysis`, so ``run`` and ``sweep`` load
-just the engine path.
+just the engine path. :func:`main` runs a command with the cyclic garbage
+collector paused: a command's data holds no reference cycles, so the
+collector would only walk the count tables and records as they grow.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -439,6 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         "skipgram": cmd_skipgram,
         "report": cmd_report,
     }
+    collecting = gc.isenabled()  # paused while the command runs, then left as the caller had it
+    gc.disable()
     try:
         return handlers[args.command](args)
     except BrokenPipeError:
@@ -446,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime errors -> exit 1 with a diagnostic
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

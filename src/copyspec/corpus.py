@@ -116,18 +116,20 @@ def _check_roles(turns: tuple[Turn, ...]) -> None:
             raise BadRoleSequence(f"roles must alternate, got {prev.role!r} then {cur.role!r}")
 
 
-# a word keeps interior punctuation; trailing punctuation peels off one mark at a time
-_split_words = re.compile(r"\S*[^\s.,;:!?]|\S").findall
+# each mark in a word's trailing run of .,;:!? (a word keeps its interior marks)
+_trailing_marks = re.compile(r"[.,;:!?](?=[.,;:!?]*(?!\S))").sub
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Map ``text`` to token ids, growing ``vocab`` on unseen symbols.
 
-    Deterministic: the same text against the same vocabulary always yields
-    the same ids.
+    Splits on whitespace after putting a space before each mark of a
+    word's trailing run of ``.,;:!?``, so each such mark is a token of its
+    own. Deterministic: the same text against the same vocabulary always
+    yields the same ids.
     """
     ids = vocab._ids
-    return [ids.setdefault(w, len(ids)) for w in _split_words(text)]
+    return [ids.setdefault(w, len(ids)) for w in _trailing_marks(r" \g<0>", text).split()]
 
 
 def detokenize(seq: list[int], vocab: Vocabulary) -> str:

@@ -32,7 +32,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import utf8_error
+from .corpus import EOT_SYMBOL, utf8_error
 from .metrics import atomic_write_text
 
 Tables = list[dict[tuple[int, ...], int] | None]
@@ -311,6 +311,8 @@ class KgramLM(LangModel):
         vocab = obj.get("vocab", [])  # the symbols, which save() may add
         if not (isinstance(vocab, list) and all(isinstance(v, str) for v in vocab)):
             raise ValueError("vocab must be a list of strings")
+        if vocab and (vocab[0] != EOT_SYMBOL or len(set(vocab)) < len(vocab)):  # else ids would shift
+            raise ValueError(f'vocab must list distinct symbols, "{EOT_SYMBOL}" first')
         vocab_size, entries, counts = obj["vocab_size"], obj["counts"], {}
         if not isinstance(entries, list):
             raise ValueError("counts must be a list")

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import copyspec
-from copyspec.cli import _build_models, _engine_config, _load_corpus, build_parser, main
+from copyspec.cli import STRATEGY_FLAGS, _build_models, _engine_config, _load_corpus, build_parser, main
 from copyspec.engine import run_corpus
 from copyspec.lm import KgramLM
 from copyspec.metrics import RunMetrics, aggregate
@@ -56,6 +57,58 @@ def test_unknown_strategy_exits_2(small_corpus_path):
 def test_missing_corpus_is_runtime_error(tmp_path, capsys):
     assert run_cli("run", "--corpus", tmp_path / "nope.jsonl", "--strategy", "copy") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_command_runs_with_the_collector_paused(small_corpus_path, tmp_path, monkeypatch):
+    seen = []
+
+    def recording_run_corpus(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return run_corpus(*args, **kwargs)
+
+    monkeypatch.setattr("copyspec.cli.run_corpus", recording_run_corpus)
+    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", tmp_path / "m.json") == 0
+    assert seen == [False]
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(small_corpus_path, tmp_path, collector_state, enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert run_cli("run", "--corpus", small_corpus_path, "--strategy", "copy", "--out", tmp_path / "m.json") == 0
+    assert gc.isenabled() is enabled
+    assert run_cli("run", "--corpus", tmp_path / "nope.jsonl", "--strategy", "copy") == 1
+    assert gc.isenabled() is enabled
+    with pytest.raises(SystemExit) as err:
+        run_cli("run", "--corpus", small_corpus_path, "--strategy", "magic")
+    assert err.value.code == 2
+    assert gc.isenabled() is enabled
+
+
+def test_commands_leave_no_cycles_behind(data_dir, tmp_path, collector_state):
+    # the pause is safe only if a command's garbage does not grow with its work:
+    # what the collector finds after a one-transcript run, it finds after every run and sweep
+    one = tmp_path / "one.jsonl"
+    save_transcripts(one, make_redundant_corpus(n=1, seed=99))
+    redundant = data_dir / "redundant_2turn.jsonl"
+    commands = [["run", "--corpus", one, "--strategy", "copy"]]
+    commands += [["run", "--corpus", redundant, "--strategy", strategy] for strategy in STRATEGY_FLAGS]
+    commands.append(["sweep", "--corpus", redundant, "--strategy", "copy+specdec", "--axis", "gamma",
+                     "--values", "2,3,4", "--records-out", tmp_path / "s.jsonl"])
+    found = []
+    for argv in commands:
+        gc.collect()
+        gc.disable()
+        assert run_cli(*argv, "--out", tmp_path / "out.json") == 0
+        found.append(gc.collect())
+    assert found == [found[0]] * len(commands)
 
 
 def test_run_deterministic_across_repeats(small_corpus_path, tmp_path):
@@ -556,9 +609,12 @@ def _drop(doc, name):
         (lambda doc: doc["counts"].append(doc["counts"][2]), "counts must list each order from 0 to order once"),
         ("bytes", "not UTF-8: byte 0xff at offset 0"),
         ("nested", "not JSON: maximum recursion depth exceeded"),
+        (lambda doc: doc["vocab"].__setitem__(3, doc["vocab"][2]), 'vocab must list distinct symbols, "<eot>" first'),
+        (lambda doc: doc["vocab"].__setitem__(0, "x"), 'vocab must list distinct symbols, "<eot>" first'),
     ],
     ids=["not-json", "no-counts", "malformed-counts-entry", "order-string", "counts-object", "vocab-number",
-         "order-beyond-counts", "order-missing", "order-twice", "not-utf8", "nested-too-deep"],
+         "order-beyond-counts", "order-missing", "order-twice", "not-utf8", "nested-too-deep",
+         "vocab-repeats-a-symbol", "vocab-without-eot-first"],
 )
 def test_model_path_names_the_dump_and_the_field(small_corpus_path, tmp_path, capsys, spoil, message):
     dump = tmp_path / "lm.json"
