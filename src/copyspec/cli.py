@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,8 +56,8 @@ def _positive(text):
 
 def _nonnegative_float(text):
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -152,8 +153,8 @@ def _build_models(args, transcripts, config: EngineConfig):
     """Vocabulary, user-turn prompts, target and (if the strategy drafts)
     draft model, from one tokenizing pass and one training.
 
-    Trained models are views at their own order of one set of counts and
-    argmax tables: neither depends on the highest order counted. Set-up
+    Trained models are views at their own order of one set of argmax
+    tables, which does not depend on the highest order counted. Set-up
     builds the orders a run reads. That is the target's order, and when
     the strategy drafts, the draft's. The target's verification pass
     stops at the first rejected token, and on the shipped corpora every
@@ -433,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("run", "sweep"):
         try:
             args.cost = _cost_model(args)
-        except ValueError:  # the flags are >= 0, so both target costs are 0
+        except ValueError:  # the flags are finite and >= 0, so both target costs are 0
             parser.error("--cost-target and --cost-target-token cannot both be 0: no attempt would take time")
     handlers = {
         "run": cmd_run,

@@ -21,7 +21,8 @@ ones. :class:`TableLM` is one hand-written table, useful as an oracle;
 realistically when trained on redundant text. A k-gram order is counted
 and resolved once, when something first needs it: the model's own order
 at construction (a view's too), a lower order on the first backoff that
-reaches it. Spawns and views share what is built.
+reaches it. Its count is dropped once its table is built. Spawns and
+views share the tables and the corpus.
 """
 
 from __future__ import annotations
@@ -223,16 +224,18 @@ def _argmax_table(grams: Counter) -> dict[tuple[int, ...], int]:
 class KgramLM(LangModel):
     """Counted k-gram model with shortening backoff.
 
-    ``counts[o]`` counts each (context, next) gram of length o + 1, and
-    ``tables[o]`` maps each context to its argmax among them. An order is
-    built once, on first need: the model's own order at construction, a
-    lower one on the first backoff that reaches it. A missing count is
-    taken over ``corpus`` (the training sequences, kept, not copied);
-    with no corpus it is empty. Spawns, and views at other orders, share
-    all three, which is exact because a context's argmax does not depend
-    on the highest order counted. An unbuilt order is a None table or a
-    missing count, plain values that survive pickling. An untrained
-    model predicts 0 (end of text).
+    ``tables[o]`` maps each context to its argmax among the (context,
+    next) grams of length o + 1. An order is built once, on first need:
+    the model's own order at construction, a lower one on the first
+    backoff that reaches it. Its grams are read from ``counts[o]`` when
+    given (a loaded dump's), else counted over ``corpus`` (the training
+    sequences, kept, not copied) and dropped once the table is built;
+    with neither they are empty. A trained model's ``counts`` is empty.
+    Spawns, and views at other orders, share the tables, the corpus and
+    the given counts, which is exact because a context's argmax does not
+    depend on the highest order counted. An unbuilt order is a None
+    table, a plain value that survives pickling. An untrained model
+    predicts 0 (end of text).
     """
 
     def __init__(
@@ -252,7 +255,7 @@ class KgramLM(LangModel):
         self.resolve([order])
 
     def view(self, order: int) -> "KgramLM":
-        """A model at ``order`` sharing these counts, tables and corpus."""
+        """A model at ``order`` sharing these tables, corpus and given counts."""
         return KgramLM(order, self.counts, self.vocab_size, self.tables, self.corpus)
 
     def spawn(self) -> "KgramLM":
@@ -269,20 +272,19 @@ class KgramLM(LangModel):
         return table
 
     def _counted(self, o: int) -> Counter:
+        """The grams of order ``o``: the given ones, else a fresh count that the caller drops."""
         grams = self.counts.get(o)
         if grams is None:
-            if self.corpus is None:
-                return Counter()
-            grams = self.counts[o] = _count(self.corpus, o)
+            return Counter() if self.corpus is None else _count(self.corpus, o)
         return grams
 
     def to_dict(self) -> dict:
         """Versioned, order-stable dump of the counts at orders 0..order.
 
-        Orders not counted yet are counted first (an untrained model's
-        are empty), so a model with only some orders built dumps what one
-        with every order built would. A view at a lower order of shared
-        counts dumps what training at that order alone would.
+        Orders without given counts are counted over the corpus, one at a
+        time (an untrained model's are empty), so a model with only some
+        orders built dumps what one with every order built would. A view
+        at a lower order dumps what training at that order alone would.
         """
         orders = []
         for o in range(self.order + 1):

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -29,9 +31,9 @@ class EmptyLog(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Time units charged per attempt component; all costs must be >= 0,
-    and the target's pass and per-token costs not both 0, so that every
-    attempt takes simulated time."""
+    """Time units charged per attempt component; all costs must be finite
+    and >= 0, and the target's pass and per-token costs not both 0, so
+    that every attempt takes simulated time."""
 
     target_pass_cost: float = 1.0
     target_per_token_cost: float = 0.02
@@ -40,8 +42,8 @@ class CostModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+            if not 0 <= getattr(self, f.name) < math.inf:  # also false for nan
+                raise ValueError(f"{f.name} must be a finite number >= 0")
         if self.target_pass_cost == self.target_per_token_cost == 0:
             raise ValueError("target_pass_cost and target_per_token_cost cannot both be 0")
 
@@ -204,7 +206,37 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def records_to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a
+    newline, byte for byte. ``indent`` would send the whole file through
+    the pure-Python encoder; here each container of plain values is one
+    call of the C encoder, its item separator carrying the indent, and
+    only containers of containers are walked in Python."""
+    return _indented(payload, "\n") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it where ``nl`` (a newline
+    and the enclosing indent) starts its closing line."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj, allow_nan=False)
+    inner = nl + "  "
+    if not any(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat(_CONTAINERS))):
+        flat = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
+        return f"{flat[0]}{inner}{flat[1:-1]}{nl}{flat[-1]}"
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):  # json.dumps converts such keys
+            return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", nl)
+        parts = [f"{json.dumps(key)}: {_indented(value, inner)}" for key, value in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        parts = [_indented(value, inner) for value in obj]
+        brackets = "[]"
+    body = ("," + inner).join(parts)
+    del parts  # freed before the body is copied
+    return f"{brackets[0]}{inner}{body}{nl}{brackets[1]}"
 
 
 def records_to_csv(records: list[dict]) -> str:

@@ -354,6 +354,21 @@ def test_bad_input_exit_code_and_message(small_corpus_path, tmp_path, capsys, ar
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("run", "--cost-target"), ("run", "--cost-target-token"), ("run", "--cost-draft-token"),
+     ("sweep", "--cost-index"), ("skipgram", "--lr")],
+)
+def test_a_non_finite_cost_or_rate_is_a_usage_error(small_corpus_path, capsys, command, flag, value):
+    # else the run generates the whole corpus and then fails to write its metrics
+    extra = {"run": ["--strategy", "copy"], "sweep": ["--axis", "gamma", "--values", "2,3"], "skipgram": []}[command]
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, "--corpus", small_corpus_path, *extra, flag, value)
+    assert err.value.code == 2
+    assert f"argument {flag}: must be a finite number >= 0, got {value}" in capsys.readouterr().err
+
+
 def test_sweep_reaggregation_oracle(small_corpus_path, tmp_path):
     out = tmp_path / "sweep.json"
     records_out = tmp_path / "records.jsonl"

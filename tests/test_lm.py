@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import copyspec.lm
+from copyspec.corpus import Vocabulary, ingest, load_transcripts
+from copyspec.engine import EngineConfig, run_corpus
 from copyspec.lm import (
     InvalidToken,
     KgramLM,
     TableLM,
     TruncateBeyondState,
+    _count,
     train_kgram,
 )
 
@@ -27,6 +31,12 @@ def scores(model, seq):
 def next_argmax(model):
     """Argmax after the model's cached prefix, read from its tables."""
     return table_argmax(model, model.state)
+
+
+def dumped_counts(model, o):
+    """The order-``o`` grams of the model's dump, with their counts."""
+    _, contexts = model.to_dict()["counts"][o]  # the dump lists orders 0..order in turn
+    return {(*ctx, tok): c for ctx, hist in contexts for tok, c in hist}
 
 
 def test_table_read_after_known_context():
@@ -91,10 +101,10 @@ def test_train_kgram_hand_counts():
     model = train_kgram([[1, 2, 1, 2, 1]], k=1)
     model.feed([1])
     assert next_argmax(model) == 2
-    assert model.counts[1] == {(1, 2): 2, (2, 1): 2}
+    assert dumped_counts(model, 1) == {(1, 2): 2, (2, 1): 2}
     # after 1: 2 twice, 3 once
     model = train_kgram([[1, 2, 1, 3, 1, 2, 0]], k=1)
-    assert {gram: c for gram, c in model.counts[1].items() if gram[0] == 1} == {(1, 2): 2, (1, 3): 1}
+    assert {gram: c for gram, c in dumped_counts(model, 1).items() if gram[0] == 1} == {(1, 2): 2, (1, 3): 1}
     assert scores(model.spawn(), [1]) == [2]
 
 
@@ -108,7 +118,7 @@ def test_train_kgram_deterministic():
     corpus = [[1, 2, 3, 2, 1, 0], [2, 3, 1, 0]]
     a = train_kgram(corpus, k=2)
     b = train_kgram(corpus, k=2)
-    assert a.counts == b.counts
+    assert a.to_dict() == b.to_dict()
     for ctx in [[1], [2], [1, 2], [3, 2], [0, 0]]:
         assert scores(a.spawn(), ctx) == scores(b.spawn(), ctx)
 
@@ -196,13 +206,16 @@ def test_untrained_model_dumps_every_order(tmp_path):
 
 
 def test_persistence_round_trip(tmp_path):
-    model = train_kgram([[1, 2, 3, 1, 2, 0]], k=2, vocab_size=6)
+    corpus = [[1, 2, 3, 1, 2, 0]]
+    model = train_kgram(corpus, k=2, vocab_size=6)
     path = tmp_path / "model.json"
     model.save(path, vocab_symbols=["<eot>", "a", "b", "c"])
     loaded, symbols = KgramLM.load(path)
     assert symbols == ["<eot>", "a", "b", "c"]
     assert loaded.order == model.order and loaded.vocab_size == model.vocab_size
-    assert loaded.counts == model.counts
+    # a loaded dump keeps its counts, the ones the trained model counts for its dump
+    assert loaded.counts == {o: _count(corpus, o) for o in range(3)}
+    assert loaded.to_dict() == model.to_dict()
     with pytest.raises(ValueError):
         KgramLM.from_dict({"format": "other"})
 
@@ -215,22 +228,24 @@ def test_persistence_round_trip(tmp_path):
     extra=st.integers(0, 3),
 )
 def test_kgram_view_of_shared_counts_equals_separate_training(corpus, probes, order, extra):
-    # counts taken at a higher order, read at ``order``, score every prefix
-    # as a model trained at ``order`` alone; one spawn is reused throughout
+    # tables built for a higher order, read at ``order``, and counts dumped
+    # at a higher order, loaded at ``order``, score every prefix as a model
+    # trained at ``order`` alone; one spawn of each is reused throughout
     full = train_kgram(corpus, order + extra, vocab_size=6)
     full.resolve(range(order + extra + 1))
-    view = KgramLM(order, full.counts, 6).spawn()
+    views = [full.view(order).spawn(), KgramLM(order, KgramLM.from_dict(full.to_dict()).counts, 6).spawn()]
     alone = train_kgram(corpus, order, vocab_size=6)
     for seq in corpus + probes:
-        view.truncate(0)
-        assert scores(view, seq) == scores(alone.spawn(), seq)
+        for view in views:
+            view.truncate(0)
+            assert scores(view, seq) == scores(alone.spawn(), seq)
 
 
 def test_view_dumps_only_its_own_orders():
     seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
     full = train_kgram(seqs, 4, vocab_size=4)
     full.resolve(range(5))
-    view = KgramLM(2, full.counts, 4, full.tables)
+    view = full.view(2)
     assert view.to_dict() == train_kgram(seqs, 2, vocab_size=4).to_dict()
     assert [o for o, _ in view.to_dict()["counts"]] == [0, 1, 2]
 
@@ -255,7 +270,7 @@ def test_kgram_argmax_matches_naive_scan(case, order, extra):
     trained = train_kgram(corpus, order, vocab_size=vocab)
     full = train_kgram(corpus, order + extra, vocab_size=vocab)
     full.resolve(range(order + extra + 1))
-    view = KgramLM(order, full.counts, vocab, full.tables)
+    view = full.view(order)
     with tempfile.TemporaryDirectory() as tmp:
         trained.save(Path(tmp) / "model.json")
         loaded, _ = KgramLM.load(Path(tmp) / "model.json")
@@ -314,21 +329,28 @@ def test_lazy_resolution_equals_eager_and_naive(case, order, data):
             assert model.tables[o] == eager.tables[o]
 
 
-def test_training_builds_only_the_models_order():
+def test_training_builds_only_the_models_order(monkeypatch):
     # train_kgram counts and resolves order k alone; a view builds its own
+    counted = []
+
+    def count(corpus, o):
+        counted.append(o)
+        return _count(corpus, o)
+
+    monkeypatch.setattr(copyspec.lm, "_count", count)
     seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
     model = train_kgram(seqs, 3, vocab_size=4)
-    assert built_orders(model) == [3] and sorted(model.counts) == [3]
+    assert built_orders(model) == [3] and sorted(counted) == [3]
     view = model.view(1)
     assert built_orders(model) == built_orders(view) == [1, 3]
-    assert sorted(model.counts) == [1, 3]
+    assert sorted(counted) == [1, 3]
 
 
 def test_lazy_model_dumps_every_order(tmp_path):
     # ``to_dict`` counts the orders nothing has read yet before dumping
     seqs = [[1, 2, 3, 1, 2, 0], [2, 3, 1, 0]]
     lazy = train_kgram(seqs, 3, vocab_size=4)
-    assert sorted(lazy.counts) == [3]
+    assert built_orders(lazy) == [3]
     eager = train_kgram(seqs, 3, vocab_size=4)
     eager.resolve(range(4))
     assert lazy.to_dict() == eager.to_dict()
@@ -342,6 +364,30 @@ def test_lazy_model_dumps_every_order(tmp_path):
     assert built_orders(loaded) == [3]
     loaded.resolve(range(4))
     assert loaded.tables == eager.tables
+
+
+def test_trained_models_keep_no_counts(data_dir, tmp_path):
+    # after a corpus run, a trained model, its draft view and their spawns
+    # keep the one list of argmax tables and the corpus, not the counts
+    # behind them, and still dump what a model with every order resolved
+    # does; a loaded dump keeps its counts, having no corpus to count over
+    transcripts = load_transcripts(data_dir / "redundant_2turn.jsonl")
+    vocab = Vocabulary()
+    seqs, prompts = ingest(transcripts, vocab)
+    target = train_kgram(seqs, 4, vocab_size=len(vocab))
+    draft = target.view(2)
+    run_corpus(transcripts, prompts, vocab, target, draft, [EngineConfig(strategy="copy_plus_specdec")])
+    models = [target, draft, target.spawn(), draft.spawn()]
+    assert all(m.counts == {} and m.tables is target.tables for m in models)
+    eager = train_kgram(seqs, 4, vocab_size=len(vocab))
+    eager.resolve(range(5))
+    for model in models:
+        assert model.to_dict() == eager.view(model.order).to_dict()
+    target.save(tmp_path / "lm.json")
+    loaded, _ = KgramLM.load(tmp_path / "lm.json")
+    assert sorted(loaded.counts) == [0, 1, 2, 3, 4] and loaded.corpus is None
+    assert loaded.view(2).counts is loaded.counts
+    assert loaded.to_dict() == target.to_dict()
 
 
 @st.composite

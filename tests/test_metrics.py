@@ -1,8 +1,10 @@
+import json
+import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from copyspec.engine import AttemptOutcome, EngineConfig, generate
 from copyspec.lm import TableLM
@@ -217,6 +219,69 @@ def test_cost_model_validation():
         CostModel(target_pass_cost=0, target_per_token_cost=0)
     assert CostModel(target_pass_cost=0).target_per_token_cost > 0
     assert CostModel(target_per_token_cost=0).target_pass_cost > 0
+
+
+@pytest.mark.parametrize("name", ["target_pass_cost", "target_per_token_cost", "draft_token_cost", "index_op_cost"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cost_model_rejects_a_non_finite_cost(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0"):
+        CostModel(**{name: value})
+
+
+json_keys = st.one_of(
+    st.sampled_from(["", "é", "日本", 'a "quote"', "back\\slash", "\x00\x1f\x7f", "line\nbreak", "\ud800"]),
+    st.text(max_size=6),
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    json_keys,
+)
+
+
+def json_containers(leaves):
+    """Nested dicts with ``str`` keys (or, now and then, all-number keys,
+    which ``json.dumps`` converts), lists and tuples of ``leaves``, empty
+    ones included."""
+    def nest(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(json_keys, children, max_size=4),
+            st.dictionaries(st.integers() | st.floats(allow_nan=False, allow_infinity=False), children, max_size=2),
+        )
+    return st.recursive(leaves, nest, max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(value=json_containers(json_scalars))
+def test_records_to_json_equals_the_indented_standard_encoder(value):
+    assert records_to_json(value) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def holding_non_finite(filler):
+    """Lists, tuples and dicts that hold a non-finite float at some depth
+    and at any place, beside ``filler`` values."""
+    def around(bad):
+        return st.one_of(
+            st.tuples(st.lists(filler, max_size=2), bad, st.lists(filler, max_size=2))
+            .map(lambda t: [*t[0], t[1], *t[2]]),
+            st.tuples(st.lists(filler, max_size=2), bad).map(lambda t: (t[1], *t[0])),
+            st.tuples(st.dictionaries(json_keys, filler, max_size=2), json_keys, bad)
+            .map(lambda t: {**t[0], t[1]: t[2]}),
+        )
+    return st.recursive(st.sampled_from([math.nan, math.inf, -math.inf]), around, max_leaves=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(value=holding_non_finite(json_containers(json_scalars)))
+def test_records_to_json_rejects_a_non_finite_float_anywhere(value):
+    with pytest.raises(ValueError):
+        records_to_json(value)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask-022", "umask-002"])
