@@ -8,7 +8,7 @@ and the bonus token that keeps generation moving after a rejection.
 """
 
 from copyspec import EngineConfig, Session, TableLM, Vocabulary, tokenize
-from copyspec.corpus import EOT_ID
+from copyspec.corpus import EOT_ID, detokenize
 
 PROMPT = (
     "the wood duck lives in wooded swamps and nests in tree holes near water "
@@ -32,7 +32,6 @@ session.extend_context(prompt_ids)
 print("PROMPT:", PROMPT)
 print(f"\ngamma={config.gamma}, chunk_len={config.chunk_len}\n")
 
-words = vocab.symbol_of
 budget = 64
 outcomes = []
 produced = 0
@@ -44,18 +43,18 @@ while produced < budget:
     step = len(outcomes)
     added = session.context[before:]
     if outcome.source == "copy":
-        accepted = " ".join(words(t) for t in added[:-1])
+        accepted = detokenize(added[:-1], vocab)
         print(f"step {step:2d} COPY  proposed {outcome.proposed:2d} accepted {outcome.accepted_k:2d}"
-              f"  [{accepted}]  bonus -> {words(session.context[-1])!r}")
+              f"  [{accepted}]  bonus -> {detokenize(session.context[-1:], vocab)!r}")
     else:
-        print(f"step {step:2d} plain -> {words(session.context[-1])!r}")
+        print(f"step {step:2d} plain -> {detokenize(session.context[-1:], vocab)!r}")
     if session.context[-1] == EOT_ID:
         break
 
 output = session.context[len(prompt_ids):]
 if output and output[-1] == EOT_ID:
     output = output[:-1]
-print("\nOUTPUT:", " ".join(words(t) for t in output))
+print("\nOUTPUT:", detokenize(output, vocab))
 print("\nAttempts:", len(outcomes),
       "| copied tokens:", sum(o.accepted_k for o in outcomes if o.source == "copy"),
       "| total tokens:", produced)

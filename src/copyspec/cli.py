@@ -29,8 +29,10 @@ from .metrics import (
     aggregate,
     atomic_write_text,
     metrics_record,
+    record_config,
     records_to_csv,
     records_to_json,
+    records_to_jsonl,
 )
 
 DEFAULT_SEED = 1729
@@ -248,13 +250,14 @@ def cmd_run(args) -> int:
     echo = _config_echo(args, target.order)
     runs = run_corpus(transcripts, prompts, vocab, target, draft, [config], args.cost, args.jobs)
 
+    fields = record_config(echo)
     records = []
     by_turn: dict[int, list] = {}
     by_category: dict[str, list] = {}
     flat = []
     for tid, category, (turns,) in _by_id(runs):
         for turn, metrics in turns:
-            records.append(metrics_record(tid, category, turn, args.strategy, metrics, echo))
+            records.append(metrics_record(tid, category, turn, args.strategy, metrics, fields))
             by_turn.setdefault(turn, []).append(metrics)
             by_category.setdefault(category, []).append(metrics)
             flat.append(metrics)
@@ -284,15 +287,15 @@ def cmd_sweep(args) -> int:
     payload = {"config": echo, "sweep": result.to_dict()}
 
     if args.records_out:
-        lines = []
+        fields = record_config(echo)
         runs = _by_id(result.runs)
-        for i, value in enumerate(args.values):
-            for tid, category, per_config in runs:
-                for turn, metrics in per_config[i]:
-                    rec = metrics_record(tid, category, turn, args.strategy, metrics, echo)
-                    rec["sweep_value"] = value
-                    lines.append(json.dumps(rec, sort_keys=True, allow_nan=False))
-        atomic_write_text(args.records_out, "\n".join(lines) + "\n")
+        records = (  # encoded as they are made, so only the lines are held
+            metrics_record(tid, category, turn, args.strategy, metrics, value_fields)
+            for i, value_fields in enumerate({**fields, "sweep_value": value} for value in args.values)
+            for tid, category, per_config in runs
+            for turn, metrics in per_config[i]
+        )
+        atomic_write_text(args.records_out, records_to_jsonl(records))
 
     if args.format == "json":
         text = records_to_json(payload)

@@ -87,13 +87,13 @@ class Vocabulary:
         return next(islice(self._ids, token_id, None))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Turn:
     role: str  # "user" | "assistant"
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transcript:
     """An ordered multi-turn conversation; roles alternate starting with user."""
 
@@ -135,9 +135,13 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
 def detokenize(seq: list[int], vocab: Vocabulary) -> str:
     """Join the symbols of ``seq`` with single spaces.
 
-    Inverse of :func:`tokenize` on space-separated input.
+    Inverse of :func:`tokenize` on space-separated input. Raises
+    :class:`InvalidTokenId` for the first id outside the vocabulary.
     """
-    return " ".join(vocab.symbol_of(t) for t in seq)
+    symbols = vocab.symbols
+    if seq and not (0 <= min(seq) and max(seq) < len(symbols)):
+        raise InvalidTokenId(next(t for t in seq if not 0 <= t < len(symbols)))
+    return " ".join(map(symbols.__getitem__, seq))
 
 
 # each type a JSON value decodes to, named in JSON's terms
@@ -166,8 +170,8 @@ def _transcript_from_obj(obj: dict) -> Transcript:
             if name not in item:
                 raise MissingField(name)
             _expect(item[name], str, f"turn {n} {name}")
-        turns.append(Turn(role=item["role"], text=item["text"]))
-    return Transcript(id=obj["id"], category=obj.get("category", ""), turns=tuple(turns))
+        turns.append(Turn(item["role"], item["text"]))
+    return Transcript(obj["id"], obj.get("category", ""), tuple(turns))
 
 
 def utf8_error(exc: UnicodeDecodeError) -> str:

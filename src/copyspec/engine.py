@@ -284,7 +284,7 @@ def generate(
     return session.run()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TurnResult:
     turn: int  # 1-based user-turn number
     output: list[int]
@@ -320,7 +320,7 @@ def run_transcript(
     for turn_no, prompt in enumerate(prompts, start=1):
         session.extend_context(prompt)
         output, log = session.run()
-        results.append(TurnResult(turn=turn_no, output=output, metrics=score_log(log, cost)))
+        results.append(TurnResult(turn_no, output, score_log(log, cost)))
     return results
 
 

@@ -17,7 +17,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -48,7 +51,7 @@ class CostModel:
             raise ValueError("target_pass_cost and target_per_token_cost cannot both be 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunMetrics:
     """Aggregated counters for one generation run (or a pool of runs).
 
@@ -70,7 +73,12 @@ class RunMetrics:
     pct_copied: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_METRIC_FIELDS, _metric_values(self)))
+
+
+_METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
+_metric_values = attrgetter(*_METRIC_FIELDS)
+_pooled_values = attrgetter(*_METRIC_FIELDS[:6], "sim_time")  # what pooling sums, in _derive's argument order
 
 
 def _derive(
@@ -83,17 +91,17 @@ def _derive(
     sim_time: float,
 ) -> RunMetrics:
     return RunMetrics(
-        tokens_out=tokens_out,
-        copied_tokens=copied,
-        copy_attempts=copy_attempts,
-        draft_attempts=draft_attempts,
-        draft_accepted=draft_accepted,
-        plain_steps=plain_steps,
-        tau1=copied / copy_attempts if copy_attempts else 0.0,
-        tau2=draft_accepted / draft_attempts if draft_attempts else 0.0,
-        sim_time=sim_time,
-        sim_tps=tokens_out / sim_time if sim_time > 0 else 0.0,
-        pct_copied=copied / tokens_out if tokens_out else 0.0,
+        tokens_out,
+        copied,
+        copy_attempts,
+        draft_attempts,
+        draft_accepted,
+        plain_steps,
+        copied / copy_attempts if copy_attempts else 0.0,  # tau1
+        draft_accepted / draft_attempts if draft_attempts else 0.0,  # tau2
+        sim_time,
+        tokens_out / sim_time if sim_time > 0 else 0.0,  # sim_tps
+        copied / tokens_out if tokens_out else 0.0,  # pct_copied
     )
 
 
@@ -144,19 +152,12 @@ def score_log(log: Sequence["AttemptOutcome"], cost: CostModel | None = None) ->
 
 
 def aggregate(metrics: Iterable[RunMetrics]) -> RunMetrics:
-    """Pool runs: counts and simulated time are summed, ratios recomputed."""
-    items = list(metrics)
-    if not items:
+    """Pool runs: counts and simulated time are summed, ratios recomputed.
+    Each column is summed whole, in input order, so sim_time keeps its bits."""
+    columns = list(zip(*map(_pooled_values, metrics)))
+    if not columns:
         raise EmptyLog("cannot aggregate zero metric records")
-    return _derive(
-        tokens_out=sum(m.tokens_out for m in items),
-        copied=sum(m.copied_tokens for m in items),
-        copy_attempts=sum(m.copy_attempts for m in items),
-        draft_attempts=sum(m.draft_attempts for m in items),
-        draft_accepted=sum(m.draft_accepted for m in items),
-        plain_steps=sum(m.plain_steps for m in items),
-        sim_time=sum(m.sim_time for m in items),
-    )
+    return _derive(*map(sum, columns))
 
 
 def speedup(metrics_a: RunMetrics, metrics_b: RunMetrics) -> float:
@@ -166,18 +167,25 @@ def speedup(metrics_a: RunMetrics, metrics_b: RunMetrics) -> float:
     return metrics_a.sim_tps / metrics_b.sim_tps
 
 
+def record_config(config_echo: dict) -> dict:
+    """The ``config_*`` fields of a command's records, sorted by key: built
+    once per command and handed to every :func:`metrics_record`."""
+    return {f"config_{k}": v for k, v in sorted(config_echo.items())}
+
+
 def metrics_record(
     transcript_id: str,
     category: str,
     turn: int,
     strategy: str,
     metrics: RunMetrics,
-    config_echo: dict,
+    config_fields: dict,
 ) -> dict:
-    """Flat record emitted per (transcript, turn, strategy)."""
+    """Flat record emitted per (transcript, turn, strategy): these four keys,
+    the metrics' fields, then ``config_fields`` (:func:`record_config`)."""
     rec = {"transcript_id": transcript_id, "category": category, "turn": turn, "strategy": strategy}
-    rec.update(metrics.to_dict())
-    rec.update({f"config_{k}": v for k, v in sorted(config_echo.items())})
+    rec.update(zip(_METRIC_FIELDS, _metric_values(metrics)))
+    rec.update(config_fields)
     return rec
 
 
@@ -205,6 +213,20 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+@cache
+def _encoder(item_separator: str):
+    """The C encoder of ``json.dumps(sort_keys=True, allow_nan=False,
+    separators=(item_separator, ": "))``, made once: ``dumps`` makes one per
+    call. It skips the circular-reference check, which records never need."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", item_separator, True, False, False
+    )
+
+
+def _dumps(obj, item_separator: str = ", ") -> str:
+    return "".join(_encoder(item_separator)(obj, 0))
+
+
 def records_to_json(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)`` and a
     newline, byte for byte. ``indent`` would send the whole file through
@@ -214,6 +236,11 @@ def records_to_json(payload: dict) -> str:
     return _indented(payload, "\n") + "\n"
 
 
+def records_to_jsonl(records: Iterable[dict]) -> str:
+    """One ``json.dumps(record, sort_keys=True, allow_nan=False)`` line per record."""
+    return "\n".join(map(_dumps, records)) + "\n"
+
+
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -221,15 +248,15 @@ def _indented(obj, nl: str) -> str:
     """``obj`` as ``json.dumps(indent=2)`` writes it where ``nl`` (a newline
     and the enclosing indent) starts its closing line."""
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return json.dumps(obj, allow_nan=False)
+        return _dumps(obj)
     inner = nl + "  "
     if not any(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat(_CONTAINERS))):
-        flat = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
+        flat = _dumps(obj, "," + inner)
         return f"{flat[0]}{inner}{flat[1:-1]}{nl}{flat[-1]}"
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):  # json.dumps converts such keys
             return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", nl)
-        parts = [f"{json.dumps(key)}: {_indented(value, inner)}" for key, value in sorted(obj.items())]
+        parts = [f"{encode_basestring_ascii(key)}: {_indented(value, inner)}" for key, value in sorted(obj.items())]
         brackets = "{}"
     else:
         parts = [_indented(value, inner) for value in obj]

@@ -65,6 +65,13 @@ def test_detokenize_invalid_id():
         detokenize([99], Vocabulary(["a"]))
 
 
+@pytest.mark.parametrize("seq, bad", [([99], 99), ([1, -1, 5], -1), ([5, -1], 5), ([0, 2], 2)])
+def test_detokenize_names_the_first_id_outside_the_vocabulary(seq, bad):
+    with pytest.raises(InvalidTokenId) as exc:
+        detokenize(seq, Vocabulary(["a"]))
+    assert exc.value.args == (bad,)
+
+
 def test_round_trip_space_separated():
     vocab = Vocabulary()
     ids = tokenize("x y z x", vocab)

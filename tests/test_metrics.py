@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyspec.engine import AttemptOutcome, EngineConfig, generate
+from copyspec.corpus import Transcript, Turn
+from copyspec.engine import AttemptOutcome, EngineConfig, TurnResult, generate
 from copyspec.lm import TableLM
 from copyspec.metrics import (
     CostModel,
     EmptyLog,
+    RunMetrics,
     aggregate,
     attempt_cost,
     atomic_write_text,
     metrics_record,
+    record_config,
     records_to_csv,
     records_to_json,
     score_log,
@@ -95,6 +99,8 @@ def test_empty_log_raises():
         score_log([])
     with pytest.raises(EmptyLog):
         aggregate([])
+    with pytest.raises(EmptyLog):
+        aggregate(iter([]))
 
 
 def test_cost_monotonicity():
@@ -201,14 +207,85 @@ def test_aggregate_pools_counts():
     assert pooled.tau1 == pytest.approx(7.0) and pooled.tau2 == pytest.approx(2.0)
 
 
+def in_order_fold(items):
+    """Pooled metrics as one pass over ``items`` in order, each sum started at 0."""
+    tokens = copied = copy_attempts = draft_attempts = draft_accepted = plain_steps = 0
+    sim_time = 0
+    for m in items:
+        tokens += m.tokens_out
+        copied += m.copied_tokens
+        copy_attempts += m.copy_attempts
+        draft_attempts += m.draft_attempts
+        draft_accepted += m.draft_accepted
+        plain_steps += m.plain_steps
+        sim_time += m.sim_time
+    return {
+        "tokens_out": tokens,
+        "copied_tokens": copied,
+        "copy_attempts": copy_attempts,
+        "draft_attempts": draft_attempts,
+        "draft_accepted": draft_accepted,
+        "plain_steps": plain_steps,
+        "tau1": copied / copy_attempts if copy_attempts else 0.0,
+        "tau2": draft_accepted / draft_attempts if draft_attempts else 0.0,
+        "sim_time": sim_time,
+        "sim_tps": tokens / sim_time if sim_time > 0 else 0.0,
+        "pct_copied": copied / tokens if tokens else 0.0,
+    }
+
+
+_COUNT = st.integers(0, 10**6)
+_RATIO = st.floats(0, 100, allow_nan=False)
+# sim_time spans many magnitudes, so that summing in any other order changes its low bits
+run_metrics = st.builds(
+    RunMetrics, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT, _RATIO, _RATIO,
+    st.floats(0, 1e12, allow_nan=False) | st.sampled_from([0.1, 1e-9, 3e7 + 0.3]), _RATIO, _RATIO,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(run_metrics, min_size=1, max_size=30))
+def test_aggregate_equals_the_in_order_fold(items):
+    # sim_time equal bit for bit, not approximately: every metric file prints it
+    want = in_order_fold(items)
+    assert aggregate(items).to_dict() == want
+    assert aggregate(iter(items)).to_dict() == want
+
+
 def test_records_emission_identical_columns():
     m = score_log([copy_attempt(10, 7), plain()])
-    rec = metrics_record("t1", "math", 2, "copy", m, {"gamma": 3})
+    rec = metrics_record("t1", "math", 2, "copy", m, record_config({"gamma": 3}))
     csv_text = records_to_csv([rec])
     header = csv_text.splitlines()[0].split(",")
     assert header == list(rec.keys())
     json_text = records_to_json({"records": [rec]})
     assert '"transcript_id": "t1"' in json_text
+
+
+def test_a_record_lists_its_keys_in_the_csv_header_order():
+    m = score_log([copy_attempt(10, 7), draft_attempt(3, 1), plain()])
+    echo = {"strategy": "copy", "gamma": 3, "chunk_len": 10, "cost_index": 0.0, "corpus_fingerprint": "ab"}
+    rec = metrics_record("t1", "math", 2, "copy", m, record_config(echo))
+    want = ["transcript_id", "category", "turn", "strategy", *(f.name for f in dataclasses.fields(RunMetrics))]
+    want += sorted(f"config_{key}" for key in echo)
+    assert list(rec) == want
+    assert records_to_csv([rec]).splitlines()[0] == ",".join(want)
+    assert [rec[f"config_{key}"] for key in echo] == list(echo.values())
+
+
+def test_to_dict_lists_every_field_in_order():
+    m = score_log([copy_attempt(10, 7), draft_attempt(3, 2), plain(1)], CostModel(1.3, 0.05, 0.2, 0.01))
+    names = [f.name for f in dataclasses.fields(RunMetrics)]
+    assert list(m.to_dict()) == names
+    assert m.to_dict() == {name: getattr(m, name) for name in names}
+
+
+def test_per_turn_and_per_record_types_hold_no_instance_dict():
+    m = score_log([plain()])
+    turn = Turn("user", "hi")
+    for obj in (m, TurnResult(1, [5], m), turn, Transcript("t1", "math", (turn,)), AttemptOutcome("plain", 0, 0)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        assert dataclasses.is_dataclass(obj)
 
 
 def test_cost_model_validation():

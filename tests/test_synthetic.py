@@ -1,4 +1,4 @@
-from copyspec.corpus import Vocabulary, save_transcripts, training_sequences
+from copyspec.corpus import Vocabulary, detokenize, save_transcripts, training_sequences
 from copyspec.engine import EngineConfig, run_transcript
 from copyspec.lm import train_kgram
 from copyspec.synthetic import (
@@ -48,7 +48,7 @@ def test_generation_replays_references():
     for t in corpus:
         results = run_transcript(t, vocab, target.spawn(), None, EngineConfig(strategy="baseline"))
         refs = [turn.text for turn in t.turns if turn.role == "assistant"]
-        outs = [" ".join(vocab.symbol_of(tok) for tok in r.output) for r in results]
+        outs = [detokenize(r.output, vocab) for r in results]
         assert outs == refs, t.id
 
 
