@@ -2,7 +2,7 @@
 """Same-process A/B of the engine, or of whole commands, of two checkouts.
 
     python3 scripts/ab_engine.py PARENT_ROOT CHILD_ROOT [--reps N]
-    python3 scripts/ab_engine.py PARENT_ROOT CHILD_ROOT --workload NAME [--reps N] [--seed S]
+    python3 scripts/ab_engine.py PARENT_ROOT CHILD_ROOT --workload NAME [--reps N]
 
 Imports the ``copyspec`` package of each checkout's ``src/`` side by side
 in this one process, so both sides share the interpreter, the heap and
@@ -22,9 +22,9 @@ during the call and restored after it, as ``copyspec run`` runs a command.
 
 Whole-command mode (``--workload redundant|novel|longctx|sweep``): the
 invocations of one set of that benchmark workload
-(``perfbench/run.py::build_workload`` of CHILD_ROOT; ``--seed`` seeds the
-``longctx`` corpus) go through each side's ``cli.main``, each side
-writing to a directory of its own. An untimed set comes first, then
+(``perfbench/run.py::build_workload`` of CHILD_ROOT, at that script's
+default seed and ``longctx`` size) go through each side's ``cli.main``,
+each side writing to a directory of its own. An untimed set comes first, then
 ``--reps`` timed sets. Each invocation of a set is a pair, one call per
 side, and the side that goes first alternates from pair to pair. After
 every pair each output file must be byte-identical between the sides,
@@ -172,13 +172,13 @@ def command_mode(args) -> int:
     names = ("corpus", "synthetic", "cli")  # build_workload writes the longctx corpus with the first two
     sides = {"parent": load_side(args.parent, names), "child": load_side(args.child, names)}
     bench = load_benchmark(args.child)
-    longctx_n = bench._parse_args(["--workload", args.workload]).longctx_n  # the benchmark's default
+    defaults = bench._parse_args(["--workload", args.workload])  # the benchmark's seed and longctx size
     with tempfile.TemporaryDirectory(prefix="ab-commands-") as tmp:
         invocations = {}
         for side, mods in sides.items():
             work = Path(tmp) / side
             work.mkdir()
-            invocations[side] = bench.build_workload(args.workload, work, args.seed, longctx_n, mods)[0]
+            invocations[side] = bench.build_workload(args.workload, work, defaults.seed, defaults.longctx_n, mods)[0]
         keys = [inv.key for inv in invocations["parent"]]
         times = {side: {key: [] for key in keys} for side in sides}
         pair = 0
@@ -215,7 +215,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=20, help="timed runs, or timed sets, per side (default 20)")
     parser.add_argument("--workload", choices=WORKLOADS, default=None,
                         help="time whole commands of one set of this benchmark workload")
-    parser.add_argument("--seed", type=int, default=1, help="seeds the longctx corpus (default 1)")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")

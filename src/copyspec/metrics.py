@@ -78,7 +78,6 @@ class RunMetrics:
 
 _METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
 _metric_values = attrgetter(*_METRIC_FIELDS)
-_pooled_values = attrgetter(*_METRIC_FIELDS[:6], "sim_time")  # what pooling sums, in _derive's argument order
 
 
 def _derive(
@@ -152,12 +151,19 @@ def score_log(log: Sequence["AttemptOutcome"], cost: CostModel | None = None) ->
 
 
 def aggregate(metrics: Iterable[RunMetrics]) -> RunMetrics:
-    """Pool runs: counts and simulated time are summed, ratios recomputed.
-    Each column is summed whole, in input order, so sim_time keeps its bits."""
-    columns = list(zip(*map(_pooled_values, metrics)))
-    if not columns:
+    """Pool runs: counts and simulated time are summed, ratios recomputed."""
+    items = list(metrics)
+    if not items:
         raise EmptyLog("cannot aggregate zero metric records")
-    return _derive(*map(sum, columns))
+    return _derive(
+        tokens_out=sum(m.tokens_out for m in items),
+        copied=sum(m.copied_tokens for m in items),
+        copy_attempts=sum(m.copy_attempts for m in items),
+        draft_attempts=sum(m.draft_attempts for m in items),
+        draft_accepted=sum(m.draft_accepted for m in items),
+        plain_steps=sum(m.plain_steps for m in items),
+        sim_time=sum(m.sim_time for m in items),
+    )
 
 
 def speedup(metrics_a: RunMetrics, metrics_b: RunMetrics) -> float:
@@ -215,16 +221,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 @cache
 def _encoder(item_separator: str):
-    """The C encoder of ``json.dumps(sort_keys=True, allow_nan=False,
-    separators=(item_separator, ": "))``, made once: ``dumps`` makes one per
-    call. It skips the circular-reference check, which records never need."""
-    return c_make_encoder(
+    """``json.dumps(obj, sort_keys=True, allow_nan=False, separators=(item_separator,
+    ": "))`` as a function of ``obj``, made once: ``dumps`` builds an encoder per call."""
+    if c_make_encoder is None:  # no _json accelerator: the standard library's Python encoder
+        return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(item_separator, ": ")).encode
+    # The arguments in the order JSONEncoder.iterencode passes them (CPython 3.10 to 3.13): markers,
+    # default, string encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan.
+    # markers=None skips the circular-reference check (a cycle raises RecursionError, not
+    # ValueError); records hold no cycles.
+    encode = c_make_encoder(
         None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", item_separator, True, False, False
     )
+    return lambda obj: "".join(encode(obj, 0))
 
 
 def _dumps(obj, item_separator: str = ", ") -> str:
-    return "".join(_encoder(item_separator)(obj, 0))
+    return _encoder(item_separator)(obj)
 
 
 def records_to_json(payload: dict) -> str:

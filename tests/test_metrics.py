@@ -21,6 +21,7 @@ from copyspec.metrics import (
     record_config,
     records_to_csv,
     records_to_json,
+    records_to_jsonl,
     score_log,
     speedup,
 )
@@ -207,18 +208,13 @@ def test_aggregate_pools_counts():
     assert pooled.tau1 == pytest.approx(7.0) and pooled.tau2 == pytest.approx(2.0)
 
 
-def in_order_fold(items):
-    """Pooled metrics as one pass over ``items`` in order, each sum started at 0."""
-    tokens = copied = copy_attempts = draft_attempts = draft_accepted = plain_steps = 0
-    sim_time = 0
-    for m in items:
-        tokens += m.tokens_out
-        copied += m.copied_tokens
-        copy_attempts += m.copy_attempts
-        draft_attempts += m.draft_attempts
-        draft_accepted += m.draft_accepted
-        plain_steps += m.plain_steps
-        sim_time += m.sim_time
+def per_field_sums(items):
+    """Pooled metrics from the builtin ``sum`` of each field over ``items``, in order."""
+    tokens, copied, copy_attempts, draft_attempts, draft_accepted, plain_steps, sim_time = (
+        sum([getattr(m, name) for m in items])
+        for name in ("tokens_out", "copied_tokens", "copy_attempts", "draft_attempts", "draft_accepted",
+                     "plain_steps", "sim_time")
+    )
     return {
         "tokens_out": tokens,
         "copied_tokens": copied,
@@ -236,7 +232,7 @@ def in_order_fold(items):
 
 _COUNT = st.integers(0, 10**6)
 _RATIO = st.floats(0, 100, allow_nan=False)
-# sim_time spans many magnitudes, so that summing in any other order changes its low bits
+# sim_time spans many magnitudes, so that summing in another order or way changes its low bits
 run_metrics = st.builds(
     RunMetrics, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT, _RATIO, _RATIO,
     st.floats(0, 1e12, allow_nan=False) | st.sampled_from([0.1, 1e-9, 3e7 + 0.3]), _RATIO, _RATIO,
@@ -245,9 +241,9 @@ run_metrics = st.builds(
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(run_metrics, min_size=1, max_size=30))
-def test_aggregate_equals_the_in_order_fold(items):
+def test_aggregate_equals_the_per_field_sums(items):
     # sim_time equal bit for bit, not approximately: every metric file prints it
-    want = in_order_fold(items)
+    want = per_field_sums(items)
     assert aggregate(items).to_dict() == want
     assert aggregate(iter(items)).to_dict() == want
 
@@ -359,6 +355,29 @@ def holding_non_finite(filler):
 def test_records_to_json_rejects_a_non_finite_float_anywhere(value):
     with pytest.raises(ValueError):
         records_to_json(value)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
+def test_the_emitters_equal_the_standard_encoder_with_or_without_its_c_part(monkeypatch, c_encoder):
+    from copyspec import metrics
+
+    if not c_encoder:  # as on an interpreter built without the _json accelerator
+        monkeypatch.setattr(metrics, "c_make_encoder", None)
+    metrics._encoder.cache_clear()
+    try:
+        records = [
+            metrics_record("t1", "math", 1, "copy", score_log([copy_attempt(10, 7), plain()]), record_config({"gamma": 3})),
+            {"b": [1.5, -0.0, None], "a": "é \"x\"", "c": {"z": 2**70, "y": True}},
+        ]
+        payload = {"records": records, "config": {"gamma": 3, "nested": [[], {}, ()]}}
+        assert records_to_json(payload) == json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert records_to_jsonl(records) == "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+        with pytest.raises(ValueError):
+            records_to_jsonl([{"x": math.nan}])
+        with pytest.raises(ValueError):
+            records_to_json({"x": [math.inf]})
+    finally:
+        metrics._encoder.cache_clear()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask-022", "umask-002"])
